@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,26 +47,31 @@ class UsageError(Exception):
     """Bad flag or config combination, mapped to exit code 2."""
 
 
-def _hurst_argument(text: str) -> float:
+def _in_unit_interval(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid hurst exponent {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
     if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"hurst exponent must lie strictly inside (0, 1), got {text}"
-        )
+        raise argparse.ArgumentTypeError(f"{what} must lie strictly inside (0, 1), got {text}")
     return value
 
 
-def _length_argument(text: str) -> int:
+def _int_at_least(text: str, minimum: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid length {text!r}") from None
-    if value < 16:
-        raise argparse.ArgumentTypeError(f"length must be at least 16, got {text}")
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}, got {text}")
     return value
+
+
+_hurst_argument = functools.partial(_in_unit_interval, what="hurst exponent")
+_level_argument = functools.partial(_in_unit_interval, what="significance level")
+_length_argument = functools.partial(_int_at_least, minimum=16, what="length")
+_positive_int = functools.partial(_int_at_least, minimum=1, what="integer")
+_seed_argument = functools.partial(_int_at_least, minimum=0, what="seed")
 
 
 def _date_argument(text: str) -> dt.date:
@@ -75,54 +81,23 @@ def _date_argument(text: str) -> dt.date:
         raise argparse.ArgumentTypeError(f"invalid ISO date {text!r}") from None
 
 
-def _grid_cast(text: str) -> np.ndarray:
+def _grid_argument(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:step, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must look like start:stop:step, got {text!r}")
     try:
         start, stop, step = (int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"grid fields must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"grid fields must be integers, got {text!r}") from None
     if step < 1 or stop < start:
-        raise ValueError(f"grid {text!r} is empty or decreasing")
+        raise argparse.ArgumentTypeError(f"grid {text!r} is empty or decreasing")
     return np.arange(start, stop + 1, step)
 
 
-def _grid_argument(text: str) -> np.ndarray:
-    try:
-        return _grid_cast(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _level_cast(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"significance level must lie in (0, 1), got {text}")
-    return value
-
-
-def _level_argument(text: str) -> float:
-    try:
-        return _level_cast(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _format_cast(text: str) -> str:
+def _format_argument(text: str) -> str:
     value = text.strip().lower()
     if value not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {text!r}")
+        raise argparse.ArgumentTypeError(f"format must be csv or json, got {text!r}")
     return value
 
 
@@ -149,6 +124,8 @@ def _load_config(path: str | None, allowed: set[str]) -> dict[str, str]:
 
 
 def _resolve(args, config: dict[str, str], key: str, cast, fallback):
+    """A flag value, else the config value checked by the flag's own
+    validator, else ``fallback``."""
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -157,7 +134,7 @@ def _resolve(args, config: dict[str, str], key: str, cast, fallback):
         return fallback
     try:
         return cast(raw)
-    except ValueError as error:
+    except (ValueError, argparse.ArgumentTypeError) as error:
         raise UsageError(f"config key {key!r}: {error}") from None
 
 
@@ -181,11 +158,11 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 def cmd_lrdtest(args) -> int:
     allowed = {"seed", "surrogates", "block_size", "jobs", "format", "out"}
     config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", int, 0)
-    surrogates = _resolve(args, config, "surrogates", int, 1000)
-    block_size = _resolve(args, config, "block_size", int, 25)
-    jobs = _resolve(args, config, "jobs", int, 1)
-    out_format = _resolve(args, config, "format", _format_cast, "json")
+    seed = _resolve(args, config, "seed", _seed_argument, 0)
+    surrogates = _resolve(args, config, "surrogates", _positive_int, 1000)
+    block_size = _resolve(args, config, "block_size", _positive_int, 25)
+    jobs = _resolve(args, config, "jobs", _positive_int, 1)
+    out_format = _resolve(args, config, "format", _format_argument, "json")
     out = _resolve(args, config, "out", str, None)
 
     rows = []
@@ -302,12 +279,12 @@ def _sign_label(summaries: dict[str, object], level: float) -> str:
 def cmd_xcorr(args) -> int:
     allowed = {"seed", "surrogates", "level", "jobs", "grid", "format", "out"}
     config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", int, 0)
-    surrogates = _resolve(args, config, "surrogates", int, 1000)
-    level = _resolve(args, config, "level", _level_cast, 0.10)
-    jobs = _resolve(args, config, "jobs", int, 1)
-    grid = _resolve(args, config, "grid", _grid_cast, None)
-    out_format = _resolve(args, config, "format", _format_cast, "json")
+    seed = _resolve(args, config, "seed", _seed_argument, 0)
+    surrogates = _resolve(args, config, "surrogates", _positive_int, 1000)
+    level = _resolve(args, config, "level", _level_argument, 0.10)
+    jobs = _resolve(args, config, "jobs", _positive_int, 1)
+    grid = _resolve(args, config, "grid", _grid_argument, None)
+    out_format = _resolve(args, config, "format", _format_argument, "json")
     out = _resolve(args, config, "out", str, None)
 
     methods = ("dcca", "dmca") if args.method == "both" else (args.method,)
@@ -432,7 +409,7 @@ def cmd_volatility(args) -> int:
 def cmd_chain(args) -> int:
     allowed = {"overlap_days", "out"}
     config = _load_config(args.config, allowed)
-    overlap_days = _resolve(args, config, "overlap_days", int, 1)
+    overlap_days = _resolve(args, config, "overlap_days", _positive_int, 1)
     out = _resolve(args, config, "out", str, None)
 
     segments = [
@@ -452,10 +429,10 @@ def cmd_chain(args) -> int:
 def cmd_synth(args) -> int:
     allowed = {"seed", "sigma", "label", "start_date", "out"}
     config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", int, 0)
+    seed = _resolve(args, config, "seed", _seed_argument, 0)
     sigma = _resolve(args, config, "sigma", float, 1.0)
     label = _resolve(args, config, "label", str, None)
-    start_date = _resolve(args, config, "start_date", dt.date.fromisoformat, dt.date(2004, 1, 1))
+    start_date = _resolve(args, config, "start_date", _date_argument, dt.date(2004, 1, 1))
     out = _resolve(args, config, "out", str, None)
 
     spec = FgnSpec(h=args.hurst, length=args.length, seed=seed, sigma=sigma)
@@ -492,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rescaled range and rescaled variance tests plus the Hurst estimate",
     )
     lrdtest.add_argument("inputs", nargs="+", help="date,value CSV files")
-    lrdtest.add_argument("--seed", type=int)
+    lrdtest.add_argument("--seed", type=_seed_argument)
     lrdtest.add_argument("--surrogates", type=_positive_int)
     lrdtest.add_argument("--block-size", type=_positive_int, dest="block_size")
     lrdtest.add_argument("--jobs", type=_positive_int)
@@ -512,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     xcorr.add_argument("y", help="second date,value CSV file")
     xcorr.add_argument("--method", choices=("dcca", "dmca", "both"), default="both")
     xcorr.add_argument("--grid", type=_grid_argument, help="scales as start:stop:step")
-    xcorr.add_argument("--seed", type=int)
+    xcorr.add_argument("--seed", type=_seed_argument)
     xcorr.add_argument("--surrogates", type=_positive_int)
     xcorr.add_argument("--level", type=_level_argument)
     xcorr.add_argument("--jobs", type=_positive_int)
@@ -537,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write fractional Gaussian noise as CSV")
     synth.add_argument("--hurst", type=_hurst_argument, required=True)
     synth.add_argument("--length", type=_length_argument, required=True)
-    synth.add_argument("--seed", type=int)
+    synth.add_argument("--seed", type=_seed_argument)
     synth.add_argument("--sigma", type=float)
     synth.add_argument("--label")
     synth.add_argument("--start-date", type=_date_argument, dest="start_date")

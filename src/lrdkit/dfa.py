@@ -94,33 +94,8 @@ def decade_scale_grid(min_scale: int, max_scale: int, step: float = 0.1) -> np.n
 
 
 def _profile_values(values: np.ndarray) -> np.ndarray:
-    return np.cumsum(values - values.mean())
-
-
-def _box_residuals(profile: np.ndarray, scale: int) -> np.ndarray:
-    """Residuals of per-box linear fits, one row per box.
-
-    Stacks floor(n / scale) forward boxes and the same number of backward
-    boxes, then removes each row's least squares line in closed form.
-    """
-    n = profile.size
-    n_boxes = n // scale
-    used = n_boxes * scale
-    segments = np.concatenate(
-        [profile[:used].reshape(n_boxes, scale),
-         profile[n - used:].reshape(n_boxes, scale)],
-        axis=0,
-    )
-    positions = np.arange(1.0, scale + 1.0)
-    pos_centered = positions - positions.mean()
-    denom = pos_centered @ pos_centered
-    centered = segments - segments.mean(axis=1, keepdims=True)
-    slopes = (centered @ pos_centered) / denom
-    return centered - slopes[:, None] * pos_centered[None, :]
-
-
-def _mean_square(residuals: np.ndarray) -> float:
-    return float(np.mean(residuals * residuals))
+    """Cumulative sum of the demeaned values along the last axis."""
+    return np.cumsum(values - values.mean(axis=-1, keepdims=True), axis=-1)
 
 
 def _check_scale(scale: int, n: int) -> None:
@@ -128,6 +103,84 @@ def _check_scale(scale: int, n: int) -> None:
         raise InvalidInputError(
             f"scale must be an integer in [4, {n // 2}] for length {n}, got {scale}"
         )
+
+
+def _check_grid(scales, n: int, check=_check_scale) -> np.ndarray:
+    """``scales`` as a strictly increasing integer array, each passing ``check``."""
+    grid = np.asarray(scales, dtype=int)
+    if grid.size == 0:
+        raise InvalidInputError("scale grid is empty")
+    if np.any(np.diff(grid) <= 0):
+        raise InvalidInputError("scale grid must be strictly increasing")
+    for s in grid:
+        check(int(s), n)
+    return grid
+
+
+def _detrended_parts(profiles: np.ndarray, sums: np.ndarray | None, scale: int):
+    """Detrended values of each row at one scale, and their trend loadings.
+
+    For boxes (``sums is None``) these are the box-centered values c of the
+    two-sided split and c.t / |t| per box, t being the centered positions.
+    Otherwise ``sums`` are the rows' cumulative sums with a leading zero,
+    giving the residuals against the centered moving average of odd window
+    ``scale`` directly, with no trend part.
+    """
+    k, n = profiles.shape
+    if sums is not None:
+        half = (scale - 1) // 2
+        return profiles[:, half: n - half] - (sums[:, scale:] - sums[:, :-scale]) / scale, None
+    n_boxes = n // scale
+    used = n_boxes * scale
+    boxes = np.concatenate(
+        [profiles[:, :used].reshape(k, n_boxes, scale),
+         profiles[:, n - used:].reshape(k, n_boxes, scale)],
+        axis=1,
+    )
+    boxes -= (boxes @ np.full(scale, 1.0 / scale))[:, :, None]
+    positions = np.arange(scale) - (scale - 1) / 2.0
+    return boxes.reshape(k, -1), boxes @ (positions / math.sqrt(positions @ positions))
+
+
+def _moment(a, b) -> np.ndarray:
+    """Sum of residual products per row: ca.cb - ta.tb for boxes."""
+    (ca, ta), (cb, tb) = a, b
+    total = np.einsum("ki,ki->k", ca, cb)
+    if ta is None:
+        return total
+    detrended = total - np.einsum("kb,kb->k", ta, tb)
+    if a is b:
+        # Below this share of the centered sum of squares the difference is
+        # rounding of the two sums: the boxes are exactly linear.
+        detrended[detrended <= 1e-12 * total] = 0.0
+    return detrended
+
+
+def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str):
+    """Per-scale detrended sums Sxy, Sxx and Syy of paired profile rows.
+
+    ``px`` and ``py`` have shape (k, n) and ``grid`` is validated for
+    ``method``: ``"dcca"`` fits a line per box of the two-sided split, as
+    DFA does, and ``"dmca"`` subtracts a centered moving average built from
+    one cumulative sum (Tsujimoto et al. 2016). Boxes are centered before
+    the closed form is applied, which keeps it accurate far from zero.
+    Returns the three stacked in that order, shape (3, k, grid.size);
+    passing ``py is px`` computes Sxx alone.
+    """
+    rows = [px] if py is px else [px, py]
+    sums = [None] * len(rows)
+    if method == "dmca":
+        # A constant shift leaves the residuals unchanged but keeps the
+        # cumulative sums, and so their rounding, small.
+        rows = [p - p.mean(axis=1, keepdims=True) for p in rows]
+        sums = [np.pad(p, ((0, 0), (1, 0))).cumsum(axis=1) for p in rows]
+    moments = np.empty((3, px.shape[0], grid.size))
+    for j, s in enumerate(grid):
+        parts = [_detrended_parts(p, c, int(s)) for p, c in zip(rows, sums)]
+        x, y = parts[0], parts[-1]
+        sxx = _moment(x, x)
+        moments[:, :, j] = (sxx, sxx, sxx) if y is x else (_moment(x, y), sxx, _moment(y, y))
+    return moments
 
 
 def dfa_fluctuation(series, scale: int) -> float:
@@ -138,8 +191,7 @@ def dfa_fluctuation(series, scale: int) -> float:
     """
     x = as_values(series, min_length=8)
     _check_scale(scale, x.size)
-    residuals = _box_residuals(_profile_values(x), int(scale))
-    return math.sqrt(_mean_square(residuals))
+    return float(fluctuation_function(x, [int(scale)]).values[0])
 
 
 def fluctuation_function(series, scales=None) -> FluctuationFunction:
@@ -153,19 +205,11 @@ def fluctuation_function(series, scales=None) -> FluctuationFunction:
     n = x.size
     if scales is None:
         scales = decade_scale_grid(DEFAULT_MIN_SCALE, min(DEFAULT_MAX_SCALE, n // 5))
-    scales = np.asarray(scales, dtype=int)
-    if scales.size == 0:
-        raise InvalidInputError("scale grid is empty")
-    if np.any(np.diff(scales) <= 0):
-        raise InvalidInputError("scale grid must be strictly increasing")
-    for s in scales:
-        _check_scale(int(s), n)
-    profile = _profile_values(x)
-    values = np.empty(scales.size)
-    boxes = np.empty(scales.size, dtype=int)
-    for i, s in enumerate(scales):
-        values[i] = math.sqrt(_mean_square(_box_residuals(profile, int(s))))
-        boxes[i] = 2 * (n // int(s))
+    scales = _check_grid(scales, n)
+    profile = _profile_values(x)[None, :]
+    sxx = _detrended_moments(profile, profile, scales, "dcca")[1][0]
+    boxes = 2 * (n // scales)
+    values = np.sqrt(np.maximum(sxx, 0.0) / (boxes * scales))
     return FluctuationFunction(scales=scales, values=values, boxes_per_scale=boxes)
 
 

@@ -151,6 +151,8 @@ def bootstrap_lrd_tests(
         raise InvalidInputError("need at least one surrogate")
     if n_jobs < 1:
         raise InvalidInputError("n_jobs must be positive")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
     bandwidth = _auto_bandwidth_raw(values)
     observed = _statistic_pair(values, bandwidth)

@@ -37,8 +37,9 @@ _EIGENVALUE_TOLERANCE = 1e-8
 class FgnSpec:
     """Parameters of one fractional Gaussian noise draw.
 
-    ``h`` lies strictly inside (0, 1), ``length`` is at least 16, and
-    ``sigma`` is the positive standard deviation of the marginals.
+    ``h`` lies strictly inside (0, 1), ``length`` is at least 16,
+    ``seed`` is non-negative, and ``sigma`` is the positive standard
+    deviation of the marginals.
     """
 
     h: float
@@ -57,6 +58,8 @@ class FgnSpec:
             )
         if not self.sigma > 0.0:
             raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 
 
 def fgn_autocovariance(h: float, lags, sigma: float = 1.0) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import _box_residuals, _mean_square, _profile_values
+from .dfa import _check_grid, _check_scale, _detrended_moments, _profile_values
 from .errors import DegenerateScaleError, InvalidInputError
 from .series import as_values
 
@@ -84,32 +84,29 @@ def _check_window(window: int, n: int) -> None:
         raise InvalidInputError(f"window must be odd, got {w}")
 
 
-def _check_scale(scale: int, n: int) -> None:
-    s = int(scale)
-    if s != scale or not 4 <= s <= n // 2:
-        raise InvalidInputError(
-            f"scale must be an integer in [4, {n // 2}] for length {n}, got {scale}"
-        )
+def _coefficient(sxy, sxx, syy):
+    """Correlation from detrended sums, NaN where a fluctuation vanishes."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = sxy / (np.sqrt(sxx) * np.sqrt(syy))
+    return np.where((sxx > 0.0) & (syy > 0.0), rho, np.nan)
 
 
-def _cma_residuals(profile: np.ndarray, window: int) -> np.ndarray:
-    """Residuals of the profile against its centered moving average.
+def _at_scale(x, y, method: str, scale: int) -> tuple[float, float]:
+    """Detrended covariance and coefficient, NaN if degenerate, at one scale."""
+    xv, yv = _validate_pair(x, y)
+    (_check_scale if method == "dcca" else _check_window)(scale, xv.size)
+    n, s = xv.size, int(scale)
+    sxy, sxx, syy = _detrended_moments(
+        _profile_values(xv)[None, :], _profile_values(yv)[None, :], np.array([s]), method
+    )[:, 0, 0]
+    count = 2 * (n // s) * s if method == "dcca" else n - s + 1
+    return float(sxy / count), float(_coefficient(sxy, sxx, syy))
 
-    Only positions with a complete window contribute, trimming
-    (window - 1) / 2 points at each end.
-    """
-    half = (window - 1) // 2
-    csum = np.concatenate(([0.0], np.cumsum(profile)))
-    window_means = (csum[window:] - csum[:-window]) / window
-    return profile[half: profile.size - half] - window_means
 
-
-def _residual_pair(xv, yv, method, scale):
-    px = _profile_values(xv)
-    py = _profile_values(yv)
-    if method == "dcca":
-        return _box_residuals(px, scale), _box_residuals(py, scale)
-    return _cma_residuals(px, scale), _cma_residuals(py, scale)
+def _nondegenerate(value: float, where: str) -> float:
+    if math.isnan(value):
+        raise DegenerateScaleError(f"zero fluctuation at {where}")
+    return value
 
 
 def dcca_covariance(x, y, scale: int) -> float:
@@ -118,26 +115,12 @@ def dcca_covariance(x, y, scale: int) -> float:
     The mean product of the two residual series pooled over all boxes.
     May be negative.
     """
-    xv, yv = _validate_pair(x, y)
-    _check_scale(scale, xv.size)
-    rx, ry = _residual_pair(xv, yv, "dcca", int(scale))
-    return float(np.mean(rx * ry))
+    return _at_scale(x, y, "dcca", scale)[0]
 
 
 def dmca_covariance(x, y, window: int) -> float:
     """Moving-average detrended covariance at one odd window length."""
-    xv, yv = _validate_pair(x, y)
-    _check_window(window, xv.size)
-    rx, ry = _residual_pair(xv, yv, "dmca", int(window))
-    return float(np.mean(rx * ry))
-
-
-def _coefficient_from_residuals(rx: np.ndarray, ry: np.ndarray) -> float:
-    ms_x = _mean_square(rx)
-    ms_y = _mean_square(ry)
-    if ms_x == 0.0 or ms_y == 0.0:
-        return math.nan
-    return float(np.mean(rx * ry)) / (math.sqrt(ms_x) * math.sqrt(ms_y))
+    return _at_scale(x, y, "dmca", window)[0]
 
 
 def dcca_coefficient(x, y, scale: int) -> float:
@@ -147,49 +130,24 @@ def dcca_coefficient(x, y, scale: int) -> float:
     fluctuations. Raises :class:`DegenerateScaleError` when either
     fluctuation vanishes.
     """
-    xv, yv = _validate_pair(x, y)
-    _check_scale(scale, xv.size)
-    value = _coefficient_from_residuals(*_residual_pair(xv, yv, "dcca", int(scale)))
-    if math.isnan(value):
-        raise DegenerateScaleError(f"zero fluctuation at scale {int(scale)}")
-    return value
+    return _nondegenerate(_at_scale(x, y, "dcca", scale)[1], f"scale {int(scale)}")
 
 
 def dmca_coefficient(x, y, window: int) -> float:
     """DMCA cross-correlation coefficient at one odd window length."""
-    xv, yv = _validate_pair(x, y)
-    _check_window(window, xv.size)
-    value = _coefficient_from_residuals(*_residual_pair(xv, yv, "dmca", int(window)))
-    if math.isnan(value):
-        raise DegenerateScaleError(f"zero fluctuation at window {int(window)}")
-    return value
+    return _nondegenerate(_at_scale(x, y, "dmca", window)[1], f"window {int(window)}")
 
 
 def _validate_grid(scales, method: str, n: int) -> np.ndarray:
     if scales is None:
         scales = DCCA_DEFAULT_SCALES if method == "dcca" else DMCA_DEFAULT_WINDOWS
-    grid = np.asarray(scales, dtype=int)
-    if grid.size == 0:
-        raise InvalidInputError("scale grid is empty")
-    if np.any(np.diff(grid) <= 0):
-        raise InvalidInputError("scale grid must be strictly increasing")
-    check = _check_scale if method == "dcca" else _check_window
-    for s in grid:
-        check(int(s), n)
-    return grid
+    return _check_grid(scales, n, _check_scale if method == "dcca" else _check_window)
 
 
 def _coefficient_curve(xv: np.ndarray, yv: np.ndarray, method: str, grid: np.ndarray) -> np.ndarray:
-    """Coefficients over a validated grid, NaN at degenerate points."""
-    px = _profile_values(xv)
-    py = _profile_values(yv)
-    residuals = _box_residuals if method == "dcca" else _cma_residuals
-    out = np.empty(grid.size)
-    for i, s in enumerate(grid):
-        out[i] = _coefficient_from_residuals(
-            residuals(px, int(s)), residuals(py, int(s))
-        )
-    return out
+    """Coefficients over a validated grid for each row of ``xv`` and ``yv``,
+    NaN at degenerate points."""
+    return _coefficient(*_detrended_moments(_profile_values(xv), _profile_values(yv), grid, method))
 
 
 def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
@@ -211,7 +169,7 @@ def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     xv, yv = _validate_pair(x, y)
     grid = _validate_grid(scales, method, xv.size)
-    rho = _coefficient_curve(xv, yv, method, grid)
+    rho = _coefficient_curve(xv[None, :], yv[None, :], method, grid)[0]
     bad = np.isnan(rho)
     if bad.any():
         where = ", ".join(str(int(s)) for s in grid[bad])

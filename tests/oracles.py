@@ -6,6 +6,7 @@ independence from the optimized code paths under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,4 +128,37 @@ def dmca_fluct_naive(x, window):
 def dmca_coeff_naive(x, y, window):
     return dmca_cov_naive(x, y, window) / (
         dmca_fluct_naive(x, window) * dmca_fluct_naive(y, window)
+    )
+
+
+def detrended_sums_exact(px, py, scale, method):
+    """Sxy, Sxx and Syy of two profiles at one scale in exact rational
+    arithmetic: per-box least squares residuals for "dcca", residuals
+    against the centered moving average of odd window ``scale`` otherwise.
+    Returns floats rounded once from the exact sums."""
+    residuals = []
+    for profile in (px, py):
+        exact = np.array([Fraction(float(v)) for v in profile], dtype=object)
+        if method == "dcca":
+            out = []
+            t_mean = Fraction(scale + 1, 2)
+            t_dev = [t - t_mean for t in range(1, scale + 1)]
+            t_ss = sum(d * d for d in t_dev)
+            for box in _boxes_naive(exact, scale):
+                p_mean = sum(box) / scale
+                slope = sum(d * (p - p_mean) for d, p in zip(t_dev, box)) / t_ss
+                out.extend(p - p_mean - slope * d for d, p in zip(t_dev, box))
+        else:
+            half = (scale - 1) // 2
+            window = sum(exact[:scale])
+            out = []
+            for t in range(half, exact.size - half):
+                if t > half:
+                    window += exact[t + half] - exact[t - half - 1]
+                out.append(exact[t] - window / scale)
+        residuals.append(out)
+    rx, ry = residuals
+    return tuple(
+        float(sum(a * b for a, b in zip(u, v)))
+        for u, v in ((rx, ry), (rx, rx), (ry, ry))
     )

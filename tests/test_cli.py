@@ -329,6 +329,18 @@ class TestConfigFile:
         assert document["seed"] == 9
         assert document["n_surrogates"] == 150
 
+    @pytest.mark.parametrize(
+        "setting", ["surrogates = 0", "seed = -1", "jobs = 0", "level = 1.5", "grid = 10:5:1"]
+    )
+    def test_invalid_value_is_a_usage_error(self, noise_csv, tmp_path, setting):
+        config = tmp_path / "run.conf"
+        config.write_text(setting + "\n")
+        result = run_cli("xcorr", str(noise_csv), str(noise_csv), "--method", "dcca",
+                         "--config", str(config))
+        assert result.returncode == 2, result.stderr
+        assert "usage error" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unknown_key_rejected(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("block = 10\n")
@@ -345,3 +357,22 @@ class TestDateAlignment:
         assert ax is x and ay is y
         with pytest.raises(ToolkitError):
             _align_by_date(x, TimeSeries(np.arange(8.0)))
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["lrdtest", "xcorr", "synth"])
+    def test_flag_is_a_usage_error(self, noise_csv, command):
+        inputs = {"lrdtest": [str(noise_csv)], "xcorr": [str(noise_csv)] * 2,
+                  "synth": ["--hurst", "0.6", "--length", "32"]}[command]
+        result = run_cli(command, *inputs, "--seed", "-1")
+        assert result.returncode == 2
+        assert "seed" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_config_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -3\n")
+        result = run_cli("synth", "--hurst", "0.6", "--length", "32", "--config", str(config))
+        assert result.returncode == 2
+        assert "usage error" in result.stderr
+        assert "Traceback" not in result.stderr

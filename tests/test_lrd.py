@@ -145,6 +145,8 @@ class TestBootstrap:
             bootstrap_lrd_tests(x, n_surrogates=0)
         with pytest.raises(InvalidInputError):
             bootstrap_lrd_tests(x, n_surrogates=10, n_jobs=0)
+        with pytest.raises(InvalidInputError):
+            bootstrap_lrd_tests(x, n_surrogates=10, seed=-1)
 
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)

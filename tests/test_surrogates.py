@@ -7,6 +7,7 @@ import lrdkit as lk
 from lrdkit.errors import InvalidInputError
 from lrdkit.series import TimeSeries, autocovariance
 from lrdkit.surrogates import (
+    CHUNK_SIZE,
     AverageCoefficient,
     SurrogateConfig,
     _phase_randomize,
@@ -25,7 +26,8 @@ class TestPhaseRandomize:
     @pytest.mark.parametrize("n", [63, 64])
     def test_amplitude_spectrum_preserved(self, n):
         x = np.random.default_rng(50).standard_normal(n)
-        out = _phase_randomize(x, np.random.default_rng(51))
+        phases = np.random.default_rng(51).uniform(0.0, 2.0 * np.pi, n // 2 + 1)
+        out = _phase_randomize(x, phases)
         assert out.shape == (n,)
         assert np.allclose(
             np.abs(np.fft.rfft(out)), np.abs(np.fft.rfft(x)), atol=1e-9
@@ -33,7 +35,8 @@ class TestPhaseRandomize:
 
     def test_mean_preserved(self):
         x = np.random.default_rng(52).standard_normal(100) + 5.0
-        out = _phase_randomize(x, np.random.default_rng(53))
+        phases = np.random.default_rng(53).uniform(0.0, 2.0 * np.pi, 51)
+        out = _phase_randomize(x, phases)
         assert out.mean() == pytest.approx(x.mean(), abs=1e-9)
 
 
@@ -106,6 +109,23 @@ class TestXcorrSignificance:
         assert np.array_equal(serial.rho, threaded.rho)
         assert np.array_equal(serial.p_values, threaded.p_values)
         assert np.array_equal(serial.surrogate_rho, threaded.surrogate_rho)
+
+    @pytest.mark.parametrize("method", ["dcca", "dmca"])
+    def test_chunks_match_one_pair_at_a_time(self, method):
+        # 101 is not a multiple of the chunk size, so the last chunk is short.
+        assert 101 % CHUNK_SIZE != 0
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=12)
+        grid = [10, 40, 70] if method == "dcca" else [11, 41, 71]
+        result = xcorr_significance(
+            x, y, method, grid, SurrogateConfig(n_surrogates=101, seed=6)
+        )
+        children = np.random.SeedSequence(6).spawn(101)
+        for i, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            sx = aaft_surrogate(x, rng)
+            sy = aaft_surrogate(y, rng)
+            expected = scan_scales(sx, sy, method, grid).rho
+            assert np.allclose(result.surrogate_rho[i], expected, rtol=0.0, atol=1e-12)
 
     def test_degenerate_scale_flagged_not_fatal(self):
         x = kinked_step_series()
@@ -192,3 +212,5 @@ class TestSurrogateConfig:
             SurrogateConfig(significance_level=1.0)
         with pytest.raises(InvalidInputError):
             SurrogateConfig(n_jobs=0)
+        with pytest.raises(InvalidInputError):
+            SurrogateConfig(seed=-1)

@@ -64,6 +64,8 @@ class TestGenerateFgn:
             FgnSpec(h=0.5, length=15, seed=0)
         with pytest.raises(InvalidInputError):
             FgnSpec(h=0.5, length=256, seed=0, sigma=0.0)
+        with pytest.raises(InvalidInputError):
+            FgnSpec(h=0.5, length=256, seed=-3)
 
 
 class TestCorrelatedPair:
