@@ -16,7 +16,7 @@ tail with an add-one correction, so it never reaches zero.
 
 from __future__ import annotations
 
-import math
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,12 +27,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidInputError,
 )
-from .series import (
-    _autocovariances,
-    _long_run_variance,
-    as_values,
-    auto_bandwidth_value,
-)
+from .series import _row_statistics, as_values
 
 __all__ = [
     "TEST_KINDS",
@@ -44,6 +39,10 @@ __all__ = [
 ]
 
 TEST_KINDS = ("rescaled_range", "rescaled_variance")
+
+# Surrogates per call of the statistics kernel. Larger chunks lose to
+# memory traffic, smaller ones to per-call overhead.
+CHUNK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -70,44 +69,28 @@ def _check_bandwidth(bandwidth: int, n: int) -> None:
         )
 
 
-def _statistic_pair(values: np.ndarray, bandwidth: int) -> tuple[float, float]:
-    """Rescaled range and rescaled variance at a given bandwidth."""
-    n = values.size
-    centered = values - values.mean()
-    s2, gamma0 = _long_run_variance(centered, bandwidth)
-    if gamma0 == 0.0:
-        raise DegenerateVarianceError("constant series has no variance")
-    if s2 <= 0.0:
+def _observed(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
+    """Both statistics of one series, and its bandwidth (automatic if None)."""
+    statistics, bandwidths, degenerate = _row_statistics(values[None, :].copy(), bandwidth)
+    if degenerate[0]:
         raise DegenerateVarianceError(
-            f"long-run variance {s2:g} at bandwidth {bandwidth} is not positive"
+            "series variance is zero or not finite, or its long-run variance is not positive"
         )
-    profile = np.cumsum(centered)
-    spread = float(profile.max() - profile.min())
-    prof_centered = profile - profile.mean()
-    prof_var = float(prof_centered @ prof_centered) / n
-    return spread / math.sqrt(s2 * n), prof_var / (n * s2)
-
-
-def _auto_bandwidth_raw(values: np.ndarray) -> int:
-    centered = values - values.mean()
-    gamma = _autocovariances(centered, 1)
-    if gamma[0] == 0.0:
-        raise DegenerateVarianceError("constant series has no defined bandwidth")
-    return auto_bandwidth_value(values.size, gamma[1] / gamma[0])
+    return statistics[0], int(bandwidths[0])
 
 
 def rescaled_range_statistic(series, bandwidth: int) -> float:
     """Modified rescaled range: profile range over S * sqrt(T)."""
     values = as_values(series, min_length=2)
     _check_bandwidth(bandwidth, values.size)
-    return _statistic_pair(values, bandwidth)[0]
+    return float(_observed(values, bandwidth)[0][0])
 
 
 def rescaled_variance_statistic(series, bandwidth: int) -> float:
     """Rescaled variance: population variance of the profile over T * S^2."""
     values = as_values(series, min_length=2)
     _check_bandwidth(bandwidth, values.size)
-    return _statistic_pair(values, bandwidth)[1]
+    return float(_observed(values, bandwidth)[0][1])
 
 
 def _permute_blocks(values: np.ndarray, block_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +104,77 @@ def _permute_blocks(values: np.ndarray, block_size: int, rng: np.random.Generato
     return np.concatenate([permuted, values[used:]])
 
 
+@functools.lru_cache(maxsize=1)
+def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
+    """Read-only (n_surrogates, n_blocks) block orders: row i is the first
+    permutation drawn from child i of ``SeedSequence(seed)``.
+
+    Only the last key is kept: a panel of equal-length series tested with
+    one seed draws the orders once.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_surrogates)
+    orders = np.empty((n_surrogates, n_blocks), dtype=np.int32)
+    for row, child in zip(orders, children):
+        row[:] = np.random.default_rng(child).permutation(n_blocks)
+    orders.flags.writeable = False
+    return orders
+
+
+def _ensemble(
+    values: np.ndarray, block_size: int, n_surrogates: int, seed: int, n_jobs: int
+) -> tuple[np.ndarray, int]:
+    """Statistics of every surrogate as (n_surrogates, 2), and the redraws."""
+    n = values.size
+    n_blocks = n // block_size
+    used = n_blocks * block_size
+    blocks = values[:used].reshape(n_blocks, block_size)
+    orders = _block_orders(seed, n_surrogates, n_blocks)
+    redraw_budget = 10 * n_surrogates
+
+    def redraw(index: int) -> tuple[np.ndarray, int]:
+        """Statistics of surrogate ``index`` after its first draw proved
+        degenerate: continue its own generator past that permutation."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        rng.permutation(n_blocks)
+        redraws = 1
+        while True:
+            surrogate = _permute_blocks(values, block_size, rng)
+            statistics, _, degenerate = _row_statistics(surrogate[None, :])
+            if not degenerate[0]:
+                return statistics[0], redraws
+            redraws += 1
+            if redraws > redraw_budget:
+                raise ComputationAbortedError(
+                    f"surrogate {index} exceeded {redraw_budget} redraws"
+                )
+
+    def chunk(start: int) -> tuple[np.ndarray, int]:
+        order = orders[start: start + CHUNK_SIZE]
+        rows = blocks[order].reshape(len(order), used)
+        if used < n:
+            rows = np.hstack([rows, np.broadcast_to(values[used:], (len(order), n - used))])
+        pairs, _, degenerate = _row_statistics(rows)
+        redraws = 0
+        for row in np.flatnonzero(degenerate):
+            pairs[row], count = redraw(start + int(row))
+            redraws += count
+        return pairs, redraws
+
+    starts = range(0, n_surrogates, CHUNK_SIZE)
+    if n_jobs == 1:
+        chunks = [chunk(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            chunks = list(pool.map(chunk, starts))
+
+    total_redraws = sum(count for _, count in chunks)
+    if total_redraws > redraw_budget:
+        raise ComputationAbortedError(
+            f"{total_redraws} surrogate redraws exceeded the budget of {redraw_budget}"
+        )
+    return np.vstack([pairs for pairs, _ in chunks]), total_redraws
+
+
 def bootstrap_lrd_tests(
     series,
     block_size: int = 25,
@@ -131,11 +185,12 @@ def bootstrap_lrd_tests(
     """Run both statistics against one shared block-bootstrap ensemble.
 
     Every surrogate permutes the complete blocks, recomputes the automatic
-    bandwidth, and evaluates both statistics. Surrogate draws come from
-    per-index substreams of ``seed``, so results do not depend on the
-    number of worker threads. A surrogate with nonpositive long-run
-    variance is redrawn; more than ``10 * n_surrogates`` redraws in total
-    abort the run.
+    bandwidth, and evaluates both statistics. Surrogate i takes its block
+    order from child i of ``SeedSequence(seed)``, so results depend neither
+    on the ``CHUNK_SIZE`` surrogates evaluated together nor on the number
+    of worker threads. A surrogate with a degenerate variance is redrawn
+    from its own child generator; more than ``10 * n_surrogates`` redraws
+    in total abort the run.
 
     Returns a dict keyed by test kind.
     """
@@ -154,47 +209,13 @@ def bootstrap_lrd_tests(
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
-    bandwidth = _auto_bandwidth_raw(values)
-    observed = _statistic_pair(values, bandwidth)
-
-    children = np.random.SeedSequence(seed).spawn(n_surrogates)
-    redraw_budget = 10 * n_surrogates
-
-    def one_surrogate(index: int) -> tuple[float, float, int]:
-        rng = np.random.default_rng(children[index])
-        redraws = 0
-        while True:
-            surrogate = _permute_blocks(values, block_size, rng)
-            try:
-                q = _auto_bandwidth_raw(surrogate)
-                v_stat, m_stat = _statistic_pair(surrogate, q)
-                return v_stat, m_stat, redraws
-            except DegenerateVarianceError:
-                redraws += 1
-                if redraws > redraw_budget:
-                    raise ComputationAbortedError(
-                        f"surrogate {index} exceeded {redraw_budget} redraws"
-                    ) from None
-
-    if n_jobs == 1:
-        draws = [one_surrogate(i) for i in range(n_surrogates)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, n_surrogates // (4 * n_jobs))
-            draws = list(pool.map(one_surrogate, range(n_surrogates), chunksize=chunk))
-
-    total_redraws = sum(d[2] for d in draws)
-    if total_redraws > redraw_budget:
-        raise ComputationAbortedError(
-            f"{total_redraws} surrogate redraws exceeded the budget of {redraw_budget}"
-        )
-
-    surrogate_stats = np.asarray([(d[0], d[1]) for d in draws])
+    observed, bandwidth = _observed(values)
+    surrogate_stats, total_redraws = _ensemble(values, block_size, n_surrogates, seed, n_jobs)
     results: dict[str, LrdTestResult] = {}
     for column, kind in enumerate(TEST_KINDS):
         exceed = int(np.sum(surrogate_stats[:, column] >= observed[column]))
         results[kind] = LrdTestResult(
-            statistic=observed[column],
+            statistic=float(observed[column]),
             bandwidth=bandwidth,
             p_value=(1.0 + exceed) / (1.0 + n_surrogates),
             n_surrogates=n_surrogates,

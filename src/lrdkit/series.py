@@ -15,7 +15,6 @@ with rho1 the lag-1 sample autocorrelation, capped at T - 1.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,22 +147,40 @@ def build_profile(series) -> Profile:
 
 
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocovariances at lags 0..max_lag of an already centered array.
+    """Autocovariances at lags 0..max_lag of already centered rows.
 
-    Every lag divides by the full length. Short bandwidths use direct dot
-    products; longer ones go through one FFT round trip.
+    ``centered`` has shape (..., n); the result has shape (..., max_lag + 1).
+    Every lag divides by the full length. Short bandwidths use direct row
+    products; longer ones go through one FFT round trip along the rows.
     """
-    n = centered.size
+    n = centered.shape[-1]
     if max_lag <= 32:
-        out = np.empty(max_lag + 1)
-        out[0] = centered @ centered
-        for k in range(1, max_lag + 1):
-            out[k] = centered[:-k] @ centered[k:]
+        out = np.empty(centered.shape[:-1] + (max_lag + 1,))
+        for k in range(max_lag + 1):
+            out[..., k] = _row_dots(centered[..., : n - k], centered[..., k:])
         return out / n
-    m = 1 << (n + max_lag - 1).bit_length()
-    spectrum = np.fft.rfft(centered, m)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), m)[: max_lag + 1]
-    return acov / n
+    m = _fft_length(n + max_lag)
+    spectrum = np.fft.rfft(centered, m, axis=-1)
+    spectrum *= spectrum.conj()
+    return np.fft.irfft(spectrum, m, axis=-1)[..., : max_lag + 1] / n
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, with the rounding of a 1-D ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _fft_length(size: int) -> int:
+    """Smallest 2^a 3^b 5^c at least ``size``; such FFTs are the fastest."""
+    best = 1 << (size - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-size // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 def autocovariance(series, lag: int) -> float:
@@ -179,14 +196,63 @@ def autocovariance(series, lag: int) -> float:
     return float(centered[:-lag] @ centered[lag:]) / x.size
 
 
-def _long_run_variance(centered: np.ndarray, bandwidth: int) -> tuple[float, float]:
-    """Bartlett-weighted long-run variance and the lag-0 autocovariance."""
-    gamma = _autocovariances(centered, bandwidth)
-    if bandwidth == 0:
-        return float(gamma[0]), float(gamma[0])
-    weights = 1.0 - np.arange(1, bandwidth + 1) / (bandwidth + 1.0)
-    s2 = gamma[0] + 2.0 * (weights @ gamma[1:])
-    return float(s2), float(gamma[0])
+def _lo_bandwidth(n_obs: int, rho: np.ndarray) -> np.ndarray:
+    """Lo's rule for lag-1 autocorrelations strictly inside (-1, 1)."""
+    raw = (1.5 * n_obs) ** (1.0 / 3.0) * (2.0 * np.abs(rho) / (1.0 - rho * rho)) ** (2.0 / 3.0)
+    return np.minimum(np.floor(raw), n_obs - 1).astype(np.int64)
+
+
+def _auto_bandwidths(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Automatic bandwidth of each centered row of a (k, n) array, and a mask
+    of the rows where it is undefined: zero or non-finite variance.
+    Overflow and 0/0 here are expected; callers silence their warnings."""
+    gamma = _autocovariances(centered, 1)
+    rho = gamma[:, 1] / gamma[:, 0]
+    defined = np.abs(rho) < 1.0
+    bandwidth = np.zeros(rho.size, dtype=np.int64)
+    bandwidth[defined] = _lo_bandwidth(centered.shape[1], rho[defined])
+    return bandwidth, ~defined
+
+
+def _long_run_variances(centered: np.ndarray, bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett long-run variance and lag-0 autocovariance of each centered
+    row of a (k, n) array, at the row's own bandwidth. Lag products run up
+    to the largest bandwidth, and each row's weights are zero beyond its own."""
+    max_lag = int(bandwidths.max())
+    weights = np.maximum(1.0 - np.arange(1, max_lag + 1) / (bandwidths[:, None] + 1.0), 0.0)
+    gamma = _autocovariances(centered, max_lag)
+    return gamma[:, 0] + 2.0 * _row_dots(weights, gamma[:, 1:]), gamma[:, 0]
+
+
+def _row_statistics(
+    rows: np.ndarray, bandwidth: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rescaled range and rescaled variance of each row, as (k, 2), with the
+    bandwidths and the mask of degenerate rows.
+
+    ``rows`` has shape (k, n) and is overwritten: it is centered, then
+    integrated into the profile, in place, so that direct lag products
+    allocate no other (k, n) array. Each row gets Lo's automatic bandwidth,
+    unless one ``bandwidth`` is given for all of them. A row is degenerate
+    when its variance is zero or not finite, or its long-run variance is
+    not positive and finite; its statistics are then meaningless.
+    """
+    k, n = rows.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows -= rows.mean(axis=1, keepdims=True)
+        if bandwidth is None:
+            bandwidths, degenerate = _auto_bandwidths(rows)
+        else:
+            bandwidths, degenerate = np.full(k, bandwidth, dtype=np.int64), np.zeros(k, dtype=bool)
+        s2, _ = _long_run_variances(rows, bandwidths)
+        profile = np.cumsum(rows, axis=1, out=rows)
+        spread = profile.max(axis=1) - profile.min(axis=1)
+        profile -= profile.mean(axis=1, keepdims=True)
+        prof_var = _row_dots(profile, profile) / n
+        statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * s2)], axis=1)
+    # A zero or non-finite variance gives a zero or non-finite s2 too.
+    degenerate |= ~(np.isfinite(s2) & (s2 > 0.0))
+    return statistics, bandwidths, degenerate
 
 
 def hac_variance(series, bandwidth: int) -> HacVariance:
@@ -197,21 +263,21 @@ def hac_variance(series, bandwidth: int) -> HacVariance:
     InvalidInputError
         If the bandwidth falls outside [0, T - 1].
     DegenerateVarianceError
-        If the weighted sum is zero or negative, e.g. for a constant
-        series at any bandwidth.
+        If the weighted sum is zero, negative or not finite, e.g. for a
+        constant series at any bandwidth.
     """
     x = as_values(series, min_length=2)
     if not 0 <= bandwidth < x.size:
         raise InvalidInputError(
             f"bandwidth must lie in [0, {x.size - 1}], got {bandwidth}"
         )
-    centered = x - x.mean()
-    s2, gamma0 = _long_run_variance(centered, bandwidth)
-    if s2 <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2, gamma0 = _long_run_variances((x - x.mean())[None, :], np.array([bandwidth]))
+    if not (np.isfinite(s2[0]) and s2[0] > 0.0):
         raise DegenerateVarianceError(
-            f"long-run variance {s2:g} at bandwidth {bandwidth} is not positive"
+            f"long-run variance {s2[0]:g} at bandwidth {bandwidth} is not positive and finite"
         )
-    return HacVariance(long_run_variance=s2, bandwidth=bandwidth, variance=gamma0)
+    return HacVariance(long_run_variance=float(s2[0]), bandwidth=bandwidth, variance=float(gamma0[0]))
 
 
 def auto_bandwidth_value(n_obs: int, lag1_autocorr: float) -> int:
@@ -223,27 +289,23 @@ def auto_bandwidth_value(n_obs: int, lag1_autocorr: float) -> int:
     if n_obs < 2:
         raise InvalidInputError("need at least 2 observations")
     rho = float(lag1_autocorr)
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise InvalidInputError(
             f"lag-1 autocorrelation must lie strictly inside (-1, 1), got {rho:g}"
         )
-    if rho == 0.0:
-        return 0
-    raw = (1.5 * n_obs) ** (1.0 / 3.0) * (
-        2.0 * abs(rho) / (1.0 - rho * rho)
-    ) ** (2.0 / 3.0)
-    return min(int(math.floor(raw)), n_obs - 1)
+    return int(_lo_bandwidth(n_obs, np.array([rho]))[0])
 
 
 def auto_bandwidth(series) -> int:
     """Automatic Bartlett bandwidth for a series.
 
     Raises :class:`DegenerateVarianceError` for a constant series, whose
-    lag-1 autocorrelation is undefined.
+    lag-1 autocorrelation is undefined, and for one whose variance
+    overflows.
     """
     x = as_values(series, min_length=2)
-    centered = x - x.mean()
-    gamma = _autocovariances(centered, 1)
-    if gamma[0] == 0.0:
-        raise DegenerateVarianceError("constant series has no defined bandwidth")
-    return auto_bandwidth_value(x.size, gamma[1] / gamma[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bandwidth, undefined = _auto_bandwidths((x - x.mean())[None, :])
+    if undefined[0]:
+        raise DegenerateVarianceError("series has no finite nonzero variance, so no bandwidth")
+    return int(bandwidth[0])

@@ -140,7 +140,8 @@ def dmca_coefficient(x, y, window: int) -> float:
 
 def _validate_grid(scales, method: str, n: int) -> np.ndarray:
     if scales is None:
-        scales = DCCA_DEFAULT_SCALES if method == "dcca" else DMCA_DEFAULT_WINDOWS
+        default = DCCA_DEFAULT_SCALES if method == "dcca" else DMCA_DEFAULT_WINDOWS
+        scales = default[default <= n // 2]
     return _check_grid(scales, n, _check_scale if method == "dcca" else _check_window)
 
 
@@ -161,7 +162,7 @@ def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
         Detrending scheme. DMCA grids must contain odd windows only.
     scales : array_like of int, optional
         Strictly increasing grid. Defaults to 10..250 step 10 for DCCA and
-        11..251 step 10 for DMCA.
+        11..251 step 10 for DMCA, without the scales above T // 2.
 
     Degenerate grid points propagate as :class:`DegenerateScaleError`.
     """

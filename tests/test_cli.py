@@ -1,3 +1,4 @@
+import datetime
 import json
 import subprocess
 import sys
@@ -135,6 +136,18 @@ class TestLrdtest:
         assert row["rescaled_variance_p"] < 0.05
         assert row["hurst_dfa"] == pytest.approx(0.9, abs=0.1)
 
+    def test_overflowing_values_fail_cleanly(self, tmp_path):
+        data = tmp_path / "huge.csv"
+        start = datetime.date(2010, 1, 1)
+        data.write_text("date,value\n" + "".join(
+            f"{start + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e308\n"
+            for i in range(300)
+        ))
+        result = run_cli("lrdtest", str(data), "--surrogates", "100")
+        assert result.returncode == 1
+        assert "variance" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_input_file(self, tmp_path):
         result = run_cli("lrdtest", str(tmp_path / "absent.csv"))
         assert result.returncode == 1
@@ -212,6 +225,15 @@ class TestXcorr:
         assert lines[0] == "method,scale,rho,p_value,rho_masked"
         assert len(lines) == 4
         assert lines[1].startswith("dcca,10,")
+
+    def test_short_pair_clips_default_grids(self, tmp_path):
+        x = write_noise(tmp_path / "x.csv", length="300", seed="3")
+        y = write_noise(tmp_path / "y.csv", length="300", seed="4")
+        result = run_cli("xcorr", str(x), str(y), "--surrogates", "100")
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["dcca"]["scales"] == list(range(10, 151, 10))
+        assert results["dmca"]["scales"] == list(range(11, 142, 10))
 
     def test_dates_align_by_intersection(self, tmp_path):
         long = write_noise(tmp_path / "long.csv", length="120", seed="3")

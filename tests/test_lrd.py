@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,56 @@ from lrdkit.errors import (
     InvalidInputError,
 )
 from lrdkit.lrd import (
+    TEST_KINDS,
     block_bootstrap_test,
     bootstrap_lrd_tests,
     rescaled_range_statistic,
     rescaled_variance_statistic,
 )
+from lrdkit.series import auto_bandwidth
 
 from conftest import IID_SIZE_SEEDS
 from oracles import m_stat_naive, v_stat_naive
+
+
+def scripted_statistics(script):
+    """Stand-in for the statistics kernel: call i gives every row the value
+    ``script[i]`` for both statistics, or marks every row degenerate for None."""
+    calls = iter(script)
+
+    def kernel(rows, bandwidth=None):
+        value = next(calls)
+        k = rows.shape[0]
+        statistics = np.full((k, 2), np.nan if value is None else value)
+        return statistics, np.zeros(k, dtype=np.int64), np.full(k, value is None)
+
+    return kernel
+
+
+def ar1(phi, n, seed):
+    shocks = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = shocks[0]
+    for t in range(1, n):
+        x[t] = phi * x[t - 1] + shocks[t]
+    return x
+
+
+def serial_ensemble(values, block_size, n_surrogates, seed, second_draw=()):
+    """Surrogate statistics one at a time through the public functions, and
+    the surrogate bandwidths. Surrogates in ``second_draw`` use the second
+    permutation of their generator, as after one redraw."""
+    children = np.random.SeedSequence(seed).spawn(n_surrogates)
+    stats, bandwidths = np.empty((n_surrogates, 2)), []
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        surrogate = lrd._permute_blocks(values, block_size, rng)
+        if i in second_draw:
+            surrogate = lrd._permute_blocks(values, block_size, rng)
+        q = auto_bandwidth(surrogate)
+        stats[i] = rescaled_range_statistic(surrogate, q), rescaled_variance_statistic(surrogate, q)
+        bandwidths.append(q)
+    return stats, bandwidths
 
 
 def ks_against_uniform(p_values):
@@ -150,17 +194,8 @@ class TestBootstrap:
 
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)
-        calls = {"n": 0}
-
-        def flaky_pair(values, bandwidth):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return 1.0, 1.0
-            if calls["n"] <= 4:
-                raise DegenerateVarianceError("forced")
-            return 0.5, 0.5
-
-        monkeypatch.setattr(lrd, "_statistic_pair", flaky_pair)
+        script = [1.0, None, None, None, 0.5]
+        monkeypatch.setattr(lrd, "_row_statistics", scripted_statistics(script))
         results = bootstrap_lrd_tests(x, n_surrogates=1, seed=0)
         assert results["rescaled_range"].n_redraws == 3
         assert results["rescaled_variance"].n_redraws == 3
@@ -169,17 +204,73 @@ class TestBootstrap:
 
     def test_persistent_degeneracy_aborts(self, monkeypatch):
         x = np.random.default_rng(38).standard_normal(60)
-        calls = {"n": 0}
-
-        def broken_pair(values, bandwidth):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return 1.0, 1.0
-            raise DegenerateVarianceError("forced")
-
-        monkeypatch.setattr(lrd, "_statistic_pair", broken_pair)
+        script = itertools.chain([1.0], itertools.repeat(None))
+        monkeypatch.setattr(lrd, "_row_statistics", scripted_statistics(script))
         with pytest.raises(ComputationAbortedError):
             bootstrap_lrd_tests(x, n_surrogates=2, seed=0)
+
+    def test_overflowing_variance_is_degenerate(self):
+        with pytest.raises(DegenerateVarianceError):
+            bootstrap_lrd_tests(np.array([1e308, -1e308] * 150), n_surrogates=10)
+
+
+class TestChunkedEnsemble:
+    """150 surrogates span two full chunks and a partial one; T = 1013 leaves
+    a 13-value tail after the blocks of 25."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.85])
+    def test_matches_one_surrogate_at_a_time(self, phi):
+        values = ar1(phi, 1013, seed=40)
+        stats, redraws = lrd._ensemble(values, 25, 150, 17, 1)
+        expected, bandwidths = serial_ensemble(values, 25, 150, 17)
+        np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
+        assert redraws == 0
+        if phi > 0:
+            # Each chunk's largest bandwidth exceeds 32, so the FFT route
+            # serves rows whose own bandwidth would take direct products.
+            assert min(bandwidths) <= 32 < max(bandwidths[128:])
+
+        q = auto_bandwidth(values)
+        observed = (rescaled_range_statistic(values, q), rescaled_variance_statistic(values, q))
+        results = bootstrap_lrd_tests(values, n_surrogates=150, seed=17)
+        for column, kind in enumerate(TEST_KINDS):
+            exceed = int(np.sum(expected[:, column] >= observed[column]))
+            assert results[kind].p_value == (1.0 + exceed) / 151.0
+            assert results[kind].bandwidth == q
+            assert results[kind].statistic == pytest.approx(observed[column], rel=1e-12)
+
+    def test_degenerate_row_mid_chunk_redrawn_from_its_generator(self, monkeypatch):
+        values = ar1(0.5, 1013, seed=41)
+        expected, _ = serial_ensemble(values, 25, 150, 17, second_draw={64 + 37})
+        real = lrd._row_statistics
+        chunks = []
+
+        def degenerate_row_37_of_chunk_2(rows, bandwidth=None):
+            statistics, bandwidths, degenerate = real(rows, bandwidth)
+            if rows.shape[0] == lrd.CHUNK_SIZE:
+                chunks.append(rows)
+                degenerate[37] |= len(chunks) == 2
+            return statistics, bandwidths, degenerate
+
+        monkeypatch.setattr(lrd, "_row_statistics", degenerate_row_37_of_chunk_2)
+        stats, redraws = lrd._ensemble(values, 25, 150, 17, 1)
+        assert redraws == 1
+        np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
+
+    def test_thread_count_does_not_change_ensemble(self):
+        values = ar1(0.85, 1013, seed=42)
+        serial_stats, serial_redraws = lrd._ensemble(values, 25, 150, 17, 1)
+        threaded_stats, threaded_redraws = lrd._ensemble(values, 25, 150, 17, 4)
+        assert np.array_equal(serial_stats, threaded_stats)
+        assert serial_redraws == threaded_redraws
+
+    def test_block_orders_cached_read_only(self):
+        first = lrd._block_orders(5, 10, 7)
+        assert lrd._block_orders(5, 10, 7) is first
+        assert not first.flags.writeable
+        assert first.dtype.itemsize <= 4
+        children = np.random.SeedSequence(5).spawn(10)
+        assert np.array_equal(first, [np.random.default_rng(c).permutation(7) for c in children])
 
 
 class TestNullDistribution:

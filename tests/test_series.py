@@ -166,6 +166,8 @@ class TestAutoBandwidth:
             auto_bandwidth_value(100, 1.0)
         with pytest.raises(InvalidInputError):
             auto_bandwidth_value(100, -1.0)
+        with pytest.raises(InvalidInputError):
+            auto_bandwidth_value(100, float("nan"))
 
     def test_capped_at_length_minus_one(self):
         assert auto_bandwidth_value(10, 0.999) == 9
@@ -187,6 +189,13 @@ class TestAutoBandwidth:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             auto_bandwidth([2.0, 2.0, 2.0])
+
+    def test_overflowing_variance_degenerate(self):
+        x = np.array([1e308, -1e308] * 150)
+        with pytest.raises(DegenerateVarianceError):
+            auto_bandwidth(x)
+        with pytest.raises(DegenerateVarianceError):
+            hac_variance(x, 3)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
