@@ -8,7 +8,7 @@ runs the long-range dependence tests plus the Hurst estimate, and
 
 Defaults can come from a ``key = value`` config file; explicit flags win.
 Exit codes: 0 on success, 1 on an analysis or I/O error, 2 on bad usage.
-All output is deterministic for a fixed seed, independent of --jobs.
+All output is deterministic for a fixed seed, independent of xcorr's --jobs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .finance import (
     garman_klass,
     log_transform,
     read_series_csv,
+    series_csv_text,
     write_series_csv,
 )
 from .lrd import bootstrap_lrd_tests
@@ -101,7 +103,32 @@ def _format_argument(text: str) -> str:
     return value
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict[str, str]:
+class Option(NamedTuple):
+    """A ``--flag`` that a config file can also set, as ``key = value``."""
+
+    parse: Callable[[str], object]
+    default: object
+    help: str
+
+
+OPTIONS = {
+    "seed": Option(_seed_argument, 0, "random seed (default 0)"),
+    "surrogates": Option(_positive_int, 1000, "surrogates per test (default 1000)"),
+    "block_size": Option(_positive_int, 25, "bootstrap block length (default 25)"),
+    "jobs": Option(_positive_int, 1, "worker threads (default 1)"),
+    "level": Option(_level_argument, 0.10, "significance level (default 0.10)"),
+    "grid": Option(_grid_argument, None, "scales as start:stop:step"),
+    "format": Option(_format_argument, "json", "csv or json (default json)"),
+    "floor": Option(float, None, "explicit clamp floor"),
+    "overlap_days": Option(_positive_int, 1, "days consecutive segments must share (default 1)"),
+    "sigma": Option(float, 1.0, "standard deviation (default 1.0)"),
+    "label": Option(str, None, "series label"),
+    "start_date": Option(_date_argument, dt.date(2004, 1, 1), "first date (default 2004-01-01)"),
+    "out": Option(str, None, "output path (default: stdout)"),
+}
+
+
+def _load_config(path: str | None, allowed: tuple[str, ...]) -> dict[str, str]:
     if path is None:
         return {}
     config: dict[str, str] = {}
@@ -123,19 +150,21 @@ def _load_config(path: str | None, allowed: set[str]) -> dict[str, str]:
     return config
 
 
-def _resolve(args, config: dict[str, str], key: str, cast, fallback):
-    """A flag value, else the config value checked by the flag's own
-    validator, else ``fallback``."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    raw = config.get(key)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (ValueError, argparse.ArgumentTypeError) as error:
-        raise UsageError(f"config key {key!r}: {error}") from None
+def _resolve_options(args) -> None:
+    """Set each of the subcommand's ``OPTIONS`` not given as a flag to its
+    config value, checked by the flag's own validator, else its default."""
+    config = _load_config(args.config, args.options)
+    for key in args.options:
+        if getattr(args, key) is not None:
+            continue
+        option = OPTIONS[key]
+        value = option.default
+        if key in config:
+            try:
+                value = option.parse(config[key])
+            except (ValueError, argparse.ArgumentTypeError) as error:
+                raise UsageError(f"config key {key!r}: {error}") from None
+        setattr(args, key, value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -149,43 +178,34 @@ def _json_document(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _csv_text(rows: list[dict]) -> str:
+    """CSV with the keys of the first row as header; floats keep full precision."""
+    lines = [",".join(rows[0])]
+    lines.extend(
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
 def cmd_lrdtest(args) -> int:
-    allowed = {"seed", "surrogates", "block_size", "jobs", "format", "out"}
-    config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", _seed_argument, 0)
-    surrogates = _resolve(args, config, "surrogates", _positive_int, 1000)
-    block_size = _resolve(args, config, "block_size", _positive_int, 25)
-    jobs = _resolve(args, config, "jobs", _positive_int, 1)
-    out_format = _resolve(args, config, "format", _format_argument, "json")
-    out = _resolve(args, config, "out", str, None)
-
     rows = []
     for path in args.inputs:
         series = read_series_csv(path, "trends")
         tests = bootstrap_lrd_tests(
             series,
-            block_size=block_size,
-            n_surrogates=surrogates,
-            seed=seed,
-            n_jobs=jobs,
+            block_size=args.block_size,
+            n_surrogates=args.surrogates,
+            seed=args.seed,
         )
         hurst = dfa_hurst(series)
         if args.fluctuation_out is not None:
             fluct = hurst.fluctuation
             fluct_rows = [
-                [str(int(s)), format_float(v)]
+                {"scale": int(s), "fluctuation": v}
                 for s, v in zip(fluct.scales, fluct.values)
             ]
-            _emit(
-                _csv_text(["scale", "fluctuation"], fluct_rows),
-                f"{args.fluctuation_out}_{series.label}.csv",
-            )
+            _emit(_csv_text(fluct_rows), f"{args.fluctuation_out}_{series.label}.csv")
         rescaled_range = tests["rescaled_range"]
         rescaled_variance = tests["rescaled_variance"]
         rows.append(
@@ -201,41 +221,18 @@ def cmd_lrdtest(args) -> int:
             }
         )
 
-    if out_format == "json":
+    if args.format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
             "command": "lrdtest",
-            "seed": seed,
-            "n_surrogates": surrogates,
-            "block_size": block_size,
+            "seed": args.seed,
+            "n_surrogates": args.surrogates,
+            "block_size": args.block_size,
             "results": rows,
         }
-        _emit(_json_document(document), out)
+        _emit(_json_document(document), args.out)
     else:
-        header = [
-            "label",
-            "n_obs",
-            "rescaled_range_stat",
-            "rescaled_range_p",
-            "rescaled_variance_stat",
-            "rescaled_variance_p",
-            "bandwidth",
-            "hurst_dfa",
-        ]
-        csv_rows = [
-            [
-                row["label"],
-                str(row["n_obs"]),
-                format_float(row["rescaled_range_stat"]),
-                format_float(row["rescaled_range_p"]),
-                format_float(row["rescaled_variance_stat"]),
-                format_float(row["rescaled_variance_p"]),
-                str(row["bandwidth"]),
-                format_float(row["hurst_dfa"]),
-            ]
-            for row in rows
-        ]
-        _emit(_csv_text(header, csv_rows), out)
+        _emit(_csv_text(rows), args.out)
     return 0
 
 
@@ -277,18 +274,8 @@ def _sign_label(summaries: dict[str, object], level: float) -> str:
 
 
 def cmd_xcorr(args) -> int:
-    allowed = {"seed", "surrogates", "level", "jobs", "grid", "format", "out"}
-    config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", _seed_argument, 0)
-    surrogates = _resolve(args, config, "surrogates", _positive_int, 1000)
-    level = _resolve(args, config, "level", _level_argument, 0.10)
-    jobs = _resolve(args, config, "jobs", _positive_int, 1)
-    grid = _resolve(args, config, "grid", _grid_argument, None)
-    out_format = _resolve(args, config, "format", _format_argument, "json")
-    out = _resolve(args, config, "out", str, None)
-
     methods = ("dcca", "dmca") if args.method == "both" else (args.method,)
-    if grid is not None and len(methods) > 1:
+    if args.grid is not None and len(methods) > 1:
         raise UsageError("--grid requires a single --method, not both")
 
     x_series = read_series_csv(args.x, "trends")
@@ -296,19 +283,16 @@ def cmd_xcorr(args) -> int:
     x_aligned, y_aligned = _align_by_date(x_series, y_series)
 
     surrogate_config = SurrogateConfig(
-        n_surrogates=surrogates,
-        seed=seed,
-        significance_level=level,
-        n_jobs=jobs,
+        n_surrogates=args.surrogates, seed=args.seed, n_jobs=args.jobs
     )
     reports = {}
     summaries = {}
     for method in methods:
         correlogram = xcorr_significance(
-            x_aligned, y_aligned, method, scales=grid, config=surrogate_config
+            x_aligned, y_aligned, method, scales=args.grid, config=surrogate_config
         )
         summary = average_coefficient(correlogram)
-        masked = np.where(correlogram.p_values < level, correlogram.rho, 0.0)
+        masked = np.where(correlogram.p_values < args.level, correlogram.rho, 0.0)
         reports[method] = {
             "scales": [int(s) for s in correlogram.scales],
             "rho": [float(r) for r in correlogram.rho],
@@ -318,34 +302,27 @@ def cmd_xcorr(args) -> int:
                 "mean_rho": float(summary.mean_rho),
                 "std_rho": float(summary.std_rho),
                 "p_value": float(summary.p_value),
-                "significant": bool(summary.p_value < level),
+                "significant": bool(summary.p_value < args.level),
             },
         }
         summaries[method] = summary
 
-    if out_format == "json":
+    if args.format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
             "command": "xcorr",
             "inputs": {"x": x_series.label, "y": y_series.label},
             "n_obs": len(x_aligned),
-            "seed": seed,
-            "n_surrogates": surrogates,
-            "level": level,
+            "seed": args.seed,
+            "n_surrogates": args.surrogates,
+            "level": args.level,
             "results": reports,
-            "sign": _sign_label(summaries, level),
+            "sign": _sign_label(summaries, args.level),
         }
-        _emit(_json_document(document), out)
+        _emit(_json_document(document), args.out)
     else:
-        header = ["method", "scale", "rho", "p_value", "rho_masked"]
         csv_rows = [
-            [
-                method,
-                str(scale),
-                format_float(rho),
-                format_float(p_value),
-                format_float(masked),
-            ]
+            {"method": method, "scale": scale, "rho": rho, "p_value": p_value, "rho_masked": masked}
             for method in methods
             for scale, rho, p_value, masked in zip(
                 reports[method]["scales"],
@@ -354,16 +331,12 @@ def cmd_xcorr(args) -> int:
                 reports[method]["rho_masked"],
             )
         ]
-        _emit(_csv_text(header, csv_rows), out)
+        _emit(_csv_text(csv_rows), args.out)
     return 0
 
 
 def cmd_volatility(args) -> int:
-    allowed = {"floor", "out"}
-    config = _load_config(args.config, allowed)
-    floor = _resolve(args, config, "floor", float, None)
-    out = _resolve(args, config, "out", str, None)
-    if out is None:
+    if args.out is None:
         raise UsageError("volatility requires --out PREFIX for its two files")
 
     bars = read_series_csv(args.input, "ohlcv")
@@ -379,11 +352,11 @@ def cmd_volatility(args) -> int:
         label=f"{stem}-volume",
         dates=dates,
     )
-    log_variance = log_transform(variance, floor=floor)
-    log_volume = log_transform(volume, floor=floor)
+    log_variance = log_transform(variance, floor=args.floor)
+    log_volume = log_transform(volume, floor=args.floor)
 
-    variance_path = f"{out}_log_variance.csv"
-    volume_path = f"{out}_log_volume.csv"
+    variance_path = f"{args.out}_log_variance.csv"
+    volume_path = f"{args.out}_log_volume.csv"
     write_series_csv(log_variance, variance_path)
     write_series_csv(log_volume, volume_path)
 
@@ -407,54 +380,43 @@ def cmd_volatility(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    allowed = {"overlap_days", "out"}
-    config = _load_config(args.config, allowed)
-    overlap_days = _resolve(args, config, "overlap_days", _positive_int, 1)
-    out = _resolve(args, config, "out", str, None)
-
     segments = [
         TrendsSegment.from_timeseries(read_series_csv(path, "trends"))
         for path in args.segments
     ]
-    chained = chain_segments(segments, overlap_days)
-    lines = [",".join(("date", "value"))]
-    lines.extend(
-        f"{date.isoformat()},{format_float(value)}"
-        for date, value in zip(chained.dates, chained.values)
-    )
-    _emit("\n".join(lines) + "\n", out)
+    chained = chain_segments(segments, args.overlap_days)
+    _emit(series_csv_text(chained), args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
-    allowed = {"seed", "sigma", "label", "start_date", "out"}
-    config = _load_config(args.config, allowed)
-    seed = _resolve(args, config, "seed", _seed_argument, 0)
-    sigma = _resolve(args, config, "sigma", float, 1.0)
-    label = _resolve(args, config, "label", str, None)
-    start_date = _resolve(args, config, "start_date", _date_argument, dt.date(2004, 1, 1))
-    out = _resolve(args, config, "out", str, None)
-
-    spec = FgnSpec(h=args.hurst, length=args.length, seed=seed, sigma=sigma)
+    try:
+        dates = [args.start_date + dt.timedelta(days=i) for i in range(args.length)]
+    except OverflowError:
+        raise UsageError(
+            f"{args.length} days from {args.start_date} pass the last representable date"
+        ) from None
+    spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
-    dates = [start_date + dt.timedelta(days=i) for i in range(args.length)]
     dated = TimeSeries(
         series.values,
-        label=label if label is not None else series.label,
+        label=args.label if args.label is not None else series.label,
         dates=dates,
     )
-    lines = [",".join(("date", "value"))]
-    lines.extend(
-        f"{date.isoformat()},{format_float(value)}"
-        for date, value in zip(dated.dates, dated.values)
-    )
-    _emit("\n".join(lines) + "\n", out)
+    _emit(series_csv_text(dated), args.out)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, handler, *keys: str) -> None:
+    """Add ``--config`` and one ``--flag`` per ``OPTIONS`` key; the keys are
+    also the subcommand's config-file whitelist."""
     parser.add_argument("--config", help="key = value file with defaults")
-    parser.add_argument("--out", help="output path (default: stdout)")
+    for key in keys:
+        option = OPTIONS[key]
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=option.parse, help=option.help
+        )
+    parser.set_defaults(handler=handler, options=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,18 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="rescaled range and rescaled variance tests plus the Hurst estimate",
     )
     lrdtest.add_argument("inputs", nargs="+", help="date,value CSV files")
-    lrdtest.add_argument("--seed", type=_seed_argument)
-    lrdtest.add_argument("--surrogates", type=_positive_int)
-    lrdtest.add_argument("--block-size", type=_positive_int, dest="block_size")
-    lrdtest.add_argument("--jobs", type=_positive_int)
-    lrdtest.add_argument("--format", choices=("csv", "json"))
     lrdtest.add_argument(
         "--fluctuation-out",
         dest="fluctuation_out",
         help="prefix for per-series scale,fluctuation CSV files",
     )
-    _add_common(lrdtest)
-    lrdtest.set_defaults(handler=cmd_lrdtest)
+    _add_options(lrdtest, cmd_lrdtest, "seed", "surrogates", "block_size", "format", "out")
 
     xcorr = sub.add_parser(
         "xcorr", help="scale-wise cross-correlation with surrogate p-values"
@@ -488,38 +444,24 @@ def build_parser() -> argparse.ArgumentParser:
     xcorr.add_argument("x", help="first date,value CSV file")
     xcorr.add_argument("y", help="second date,value CSV file")
     xcorr.add_argument("--method", choices=("dcca", "dmca", "both"), default="both")
-    xcorr.add_argument("--grid", type=_grid_argument, help="scales as start:stop:step")
-    xcorr.add_argument("--seed", type=_seed_argument)
-    xcorr.add_argument("--surrogates", type=_positive_int)
-    xcorr.add_argument("--level", type=_level_argument)
-    xcorr.add_argument("--jobs", type=_positive_int)
-    xcorr.add_argument("--format", choices=("csv", "json"))
-    _add_common(xcorr)
-    xcorr.set_defaults(handler=cmd_xcorr)
+    _add_options(
+        xcorr, cmd_xcorr, "grid", "seed", "surrogates", "level", "jobs", "format", "out"
+    )
 
     volatility = sub.add_parser(
         "volatility", help="Garman-Klass log-variance and log-volume series"
     )
     volatility.add_argument("input", help="date,open,high,low,close,volume CSV file")
-    volatility.add_argument("--floor", type=float, help="explicit clamp floor")
-    _add_common(volatility)
-    volatility.set_defaults(handler=cmd_volatility)
+    _add_options(volatility, cmd_volatility, "floor", "out")
 
     chain = sub.add_parser("chain", help="chain overlapping segments onto one level")
     chain.add_argument("segments", nargs="+", help="date,value CSV files in order")
-    chain.add_argument("--overlap-days", type=_positive_int, dest="overlap_days")
-    _add_common(chain)
-    chain.set_defaults(handler=cmd_chain)
+    _add_options(chain, cmd_chain, "overlap_days", "out")
 
     synth = sub.add_parser("synth", help="write fractional Gaussian noise as CSV")
     synth.add_argument("--hurst", type=_hurst_argument, required=True)
     synth.add_argument("--length", type=_length_argument, required=True)
-    synth.add_argument("--seed", type=_seed_argument)
-    synth.add_argument("--sigma", type=float)
-    synth.add_argument("--label")
-    synth.add_argument("--start-date", type=_date_argument, dest="start_date")
-    _add_common(synth)
-    synth.set_defaults(handler=cmd_synth)
+    _add_options(synth, cmd_synth, "seed", "sigma", "label", "start_date", "out")
 
     return parser
 
@@ -528,6 +470,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_options(args)
         return args.handler(args)
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)

@@ -37,6 +37,7 @@ __all__ = [
     "log_transform",
     "chain_segments",
     "read_series_csv",
+    "series_csv_text",
     "write_series_csv",
     "format_float",
 ]
@@ -311,16 +312,20 @@ def read_series_csv(path, schema: str):
     return rows
 
 
-def write_series_csv(series: TimeSeries, path) -> None:
-    """Write a dated series as ``date,value`` rows with full precision."""
+def series_csv_text(series: TimeSeries) -> str:
+    """A dated series as ``date,value`` CSV text with full precision."""
     if series.dates is None:
         raise InvalidInputError(
             f"series {series.label!r} has no dates to write"
         )
-    path = Path(path)
     lines = [",".join(TRENDS_HEADER)]
     lines.extend(
         f"{date.isoformat()},{format_float(value)}"
         for date, value in zip(series.dates, series.values)
     )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_series_csv(series: TimeSeries, path) -> None:
+    """Write :func:`series_csv_text` of a dated series to ``path``."""
+    Path(path).write_text(series_csv_text(series), encoding="utf-8")

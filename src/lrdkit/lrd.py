@@ -17,7 +17,6 @@ tail with an add-one correction, so it never reaches zero.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +120,7 @@ def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
 
 
 def _ensemble(
-    values: np.ndarray, block_size: int, n_surrogates: int, seed: int, n_jobs: int
+    values: np.ndarray, block_size: int, n_surrogates: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Statistics of every surrogate as (n_surrogates, 2), and the redraws."""
     n = values.size
@@ -160,13 +159,7 @@ def _ensemble(
             redraws += count
         return pairs, redraws
 
-    starts = range(0, n_surrogates, CHUNK_SIZE)
-    if n_jobs == 1:
-        chunks = [chunk(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(pool.map(chunk, starts))
-
+    chunks = [chunk(start) for start in range(0, n_surrogates, CHUNK_SIZE)]
     total_redraws = sum(count for _, count in chunks)
     if total_redraws > redraw_budget:
         raise ComputationAbortedError(
@@ -180,17 +173,15 @@ def bootstrap_lrd_tests(
     block_size: int = 25,
     n_surrogates: int = 1000,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> dict[str, LrdTestResult]:
     """Run both statistics against one shared block-bootstrap ensemble.
 
     Every surrogate permutes the complete blocks, recomputes the automatic
     bandwidth, and evaluates both statistics. Surrogate i takes its block
-    order from child i of ``SeedSequence(seed)``, so results depend neither
-    on the ``CHUNK_SIZE`` surrogates evaluated together nor on the number
-    of worker threads. A surrogate with a degenerate variance is redrawn
-    from its own child generator; more than ``10 * n_surrogates`` redraws
-    in total abort the run.
+    order from child i of ``SeedSequence(seed)``, so results do not depend
+    on the ``CHUNK_SIZE`` surrogates evaluated together. A surrogate with a
+    degenerate variance is redrawn from its own child generator; more than
+    ``10 * n_surrogates`` redraws in total abort the run.
 
     Returns a dict keyed by test kind.
     """
@@ -204,13 +195,11 @@ def bootstrap_lrd_tests(
         )
     if n_surrogates < 1:
         raise InvalidInputError("need at least one surrogate")
-    if n_jobs < 1:
-        raise InvalidInputError("n_jobs must be positive")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
     observed, bandwidth = _observed(values)
-    surrogate_stats, total_redraws = _ensemble(values, block_size, n_surrogates, seed, n_jobs)
+    surrogate_stats, total_redraws = _ensemble(values, block_size, n_surrogates, seed)
     results: dict[str, LrdTestResult] = {}
     for column, kind in enumerate(TEST_KINDS):
         exceed = int(np.sum(surrogate_stats[:, column] >= observed[column]))
@@ -232,7 +221,6 @@ def block_bootstrap_test(
     block_size: int = 25,
     n_surrogates: int = 1000,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> LrdTestResult:
     """Block-bootstrap significance test for one statistic.
 
@@ -245,10 +233,6 @@ def block_bootstrap_test(
             f"test kind must be one of {TEST_KINDS}, got {test_kind!r}"
         )
     results = bootstrap_lrd_tests(
-        series,
-        block_size=block_size,
-        n_surrogates=n_surrogates,
-        seed=seed,
-        n_jobs=n_jobs,
+        series, block_size=block_size, n_surrogates=n_surrogates, seed=seed
     )
     return results[test_kind]

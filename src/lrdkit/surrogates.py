@@ -49,17 +49,12 @@ class SurrogateConfig:
 
     n_surrogates: int = 1000
     seed: int = 0
-    significance_level: float = 0.10
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_surrogates < 100:
             raise InvalidInputError(
                 f"need at least 100 surrogates for p-values, got {self.n_surrogates}"
-            )
-        if not 0.0 < self.significance_level < 1.0:
-            raise InvalidInputError(
-                f"significance level must lie in (0, 1), got {self.significance_level}"
             )
         if self.n_jobs < 1:
             raise InvalidInputError("n_jobs must be positive")

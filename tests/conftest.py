@@ -17,7 +17,7 @@ def iid_bootstrap_pvalues():
         rng = np.random.default_rng(500_000 + i)
         series = lk.TimeSeries(rng.standard_normal(2500), label=f"iid-{i}")
         results = lk.bootstrap_lrd_tests(
-            series, n_surrogates=IID_SIZE_SURROGATES, seed=700_000 + i, n_jobs=4
+            series, n_surrogates=IID_SIZE_SURROGATES, seed=700_000 + i
         )
         p_range[i] = results["rescaled_range"].p_value
         p_variance[i] = results["rescaled_variance"].p_value

@@ -68,9 +68,7 @@ def test_criterion_2_lrd_power_and_size(capsys, iid_bootstrap_pvalues):
     rejections = {"rescaled_range": 0, "rescaled_variance": 0}
     for seed in range(100):
         series = lk.generate_fgn(lk.FgnSpec(h=0.9, length=2500, seed=seed))
-        tests = bootstrap_lrd_tests(
-            series, n_surrogates=1000, seed=10_000 + seed, n_jobs=4
-        )
+        tests = bootstrap_lrd_tests(series, n_surrogates=1000, seed=10_000 + seed)
         for kind in rejections:
             if tests[kind].p_value < 0.05:
                 rejections[kind] += 1
@@ -272,11 +270,7 @@ def test_criterion_8_end_to_end_determinism(capsys, tmp_path):
         "--out", str(second_csv))
 
     lrdtest_args = ("lrdtest", str(first_csv), "--surrogates", "150", "--seed", "7")
-    lrdtest_runs = [
-        run(*lrdtest_args),
-        run(*lrdtest_args),
-        run(*lrdtest_args, "--jobs", "4"),
-    ]
+    lrdtest_runs = [run(*lrdtest_args) for _ in range(3)]
     lrdtest_ok = len(set(lrdtest_runs)) == 1
 
     xcorr_args = (

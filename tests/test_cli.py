@@ -66,6 +66,12 @@ class TestSynth:
         result = run_cli("synth", "--hurst", "1.5", "--length", "32")
         assert result.returncode == 2
 
+    def test_dates_past_the_last_date_are_a_usage_error(self):
+        result = run_cli("synth", "--hurst", "0.7", "--length", "16", "--start-date", "9999-12-25")
+        assert result.returncode == 2
+        assert "usage error" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestLrdtest:
     def test_json_document(self, noise_csv):
@@ -91,9 +97,7 @@ class TestLrdtest:
         argv = ("lrdtest", str(noise_csv), "--surrogates", "150", "--seed", "3")
         first = run_cli(*argv)
         second = run_cli(*argv)
-        threaded = run_cli(*argv, "--jobs", "4")
         assert first.stdout == second.stdout
-        assert first.stdout == threaded.stdout
 
     def test_csv_format(self, noise_csv):
         result = run_cli(
@@ -128,7 +132,7 @@ class TestLrdtest:
     def test_detects_strong_persistence(self, tmp_path):
         data = write_noise(tmp_path / "persistent.csv", hurst="0.9", length="2500")
         result = run_cli(
-            "lrdtest", str(data), "--surrogates", "200", "--seed", "0", "--jobs", "4"
+            "lrdtest", str(data), "--surrogates", "200", "--seed", "0"
         )
         document = json.loads(result.stdout)
         (row,) = document["results"]
@@ -352,16 +356,47 @@ class TestConfigFile:
         assert document["n_surrogates"] == 150
 
     @pytest.mark.parametrize(
-        "setting", ["surrogates = 0", "seed = -1", "jobs = 0", "level = 1.5", "grid = 10:5:1"]
+        "setting",
+        [
+            "surrogates = 0", "seed = -1", "jobs = 0", "level = 1.5", "grid = 10:5:1",
+            "format = xml", "block_size = 0", "overlap_days = 0", "start_date = 2004-13-01",
+            "sigma = wide", "floor = abc",
+        ],
     )
     def test_invalid_value_is_a_usage_error(self, noise_csv, tmp_path, setting):
         config = tmp_path / "run.conf"
         config.write_text(setting + "\n")
-        result = run_cli("xcorr", str(noise_csv), str(noise_csv), "--method", "dcca",
-                         "--config", str(config))
+        key = setting.split()[0]
+        synth = ["synth", "--hurst", "0.6", "--length", "32"]
+        argv = {
+            "block_size": ["lrdtest", str(noise_csv)],
+            "overlap_days": ["chain", str(noise_csv)],
+            "start_date": synth,
+            "sigma": synth,
+            "floor": ["volatility", str(noise_csv), "--out", str(tmp_path / "vol")],
+        }.get(key, ["xcorr", str(noise_csv), str(noise_csv), "--method", "dcca"])
+        result = run_cli(*argv, "--config", str(config))
         assert result.returncode == 2, result.stderr
         assert "usage error" in result.stderr
+        assert f"config key {key!r}" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_format_flag_and_config_agree(self, noise_csv, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format = JSON\n")
+        argv = ("lrdtest", str(noise_csv), "--surrogates", "100")
+        via_flag = run_cli(*argv, "--format", "JSON")
+        via_config = run_cli(*argv, "--config", str(config))
+        assert via_flag.returncode == 0, via_flag.stderr
+        assert via_flag.stdout == via_config.stdout
+
+    def test_lrdtest_has_no_jobs(self, noise_csv, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("jobs = 2\n")
+        assert run_cli("lrdtest", str(noise_csv), "--jobs", "2").returncode == 2
+        result = run_cli("lrdtest", str(noise_csv), "--config", str(config))
+        assert result.returncode == 2
+        assert "unknown key" in result.stderr
 
     def test_unknown_key_rejected(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"

@@ -200,16 +200,11 @@ class TestSurrogateConfig:
         config = SurrogateConfig()
         assert config.n_surrogates == 1000
         assert config.seed == 0
-        assert config.significance_level == 0.10
         assert config.n_jobs == 1
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             SurrogateConfig(n_surrogates=99)
-        with pytest.raises(InvalidInputError):
-            SurrogateConfig(significance_level=0.0)
-        with pytest.raises(InvalidInputError):
-            SurrogateConfig(significance_level=1.0)
         with pytest.raises(InvalidInputError):
             SurrogateConfig(n_jobs=0)
         with pytest.raises(InvalidInputError):
