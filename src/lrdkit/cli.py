@@ -24,9 +24,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dfa import dfa_hurst
-from .errors import ToolkitError
+from .errors import InvalidInputError, ToolkitError
 from .finance import (
     TrendsSegment,
+    _parse_date,
     chain_segments,
     format_float,
     garman_klass,
@@ -37,7 +38,7 @@ from .finance import (
 )
 from .lrd import bootstrap_lrd_tests
 from .series import TimeSeries
-from .surrogates import SurrogateConfig, average_coefficient, xcorr_significance
+from .surrogates import MIN_SURROGATES, SurrogateConfig, average_coefficient, xcorr_significance
 from .synth import FgnSpec, generate_fgn
 
 __all__ = ["main", "build_parser"]
@@ -78,8 +79,8 @@ _seed_argument = functools.partial(_int_at_least, minimum=0, what="seed")
 
 def _date_argument(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
+        return _parse_date(text, "")
+    except InvalidInputError:
         raise argparse.ArgumentTypeError(f"invalid ISO date {text!r}") from None
 
 
@@ -122,7 +123,6 @@ OPTIONS = {
     "floor": Option(float, None, "explicit clamp floor"),
     "overlap_days": Option(_positive_int, 1, "days consecutive segments must share (default 1)"),
     "sigma": Option(float, 1.0, "standard deviation (default 1.0)"),
-    "label": Option(str, None, "series label"),
     "start_date": Option(_date_argument, dt.date(2004, 1, 1), "first date (default 2004-01-01)"),
     "out": Option(str, None, "output path (default: stdout)"),
 }
@@ -134,8 +134,8 @@ def _load_config(path: str | None, allowed: tuple[str, ...]) -> dict[str, str]:
     config: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
-        raise UsageError(f"cannot read config file: {error}") from None
+    except (OSError, UnicodeDecodeError) as error:
+        raise UsageError(f"cannot read config file {path}: {error}") from None
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -277,6 +277,8 @@ def cmd_xcorr(args) -> int:
     methods = ("dcca", "dmca") if args.method == "both" else (args.method,)
     if args.grid is not None and len(methods) > 1:
         raise UsageError("--grid requires a single --method, not both")
+    if args.surrogates < MIN_SURROGATES:
+        raise UsageError(f"xcorr needs at least {MIN_SURROGATES} surrogates, got {args.surrogates}")
 
     x_series = read_series_csv(args.x, "trends")
     y_series = read_series_csv(args.y, "trends")
@@ -398,12 +400,7 @@ def cmd_synth(args) -> int:
         ) from None
     spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
-    dated = TimeSeries(
-        series.values,
-        label=args.label if args.label is not None else series.label,
-        dates=dates,
-    )
-    _emit(series_csv_text(dated), args.out)
+    _emit(series_csv_text(TimeSeries(series.values, dates=dates)), args.out)
     return 0
 
 
@@ -461,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write fractional Gaussian noise as CSV")
     synth.add_argument("--hurst", type=_hurst_argument, required=True)
     synth.add_argument("--length", type=_length_argument, required=True)
-    _add_options(synth, cmd_synth, "seed", "sigma", "label", "start_date", "out")
+    _add_options(synth, cmd_synth, "seed", "sigma", "start_date", "out")
 
     return parser
 

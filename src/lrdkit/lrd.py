@@ -26,7 +26,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidInputError,
 )
-from .series import _row_statistics, as_values
+from .series import _lo_bandwidth, _row_statistics, as_values
 
 __all__ = [
     "TEST_KINDS",
@@ -39,9 +39,10 @@ __all__ = [
 
 TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
-# Surrogates per call of the statistics kernel. Larger chunks lose to
-# memory traffic, smaller ones to per-call overhead.
-CHUNK_SIZE = 64
+# Entries of the largest (B + 1)^2 table of block-pair products (8 MB), and
+# per slice of surrogates: (k, B + 1) block quantities stay below the
+# allocator's mmap threshold; (k, T) surrogate rows need longer slices.
+TABLE_ENTRIES, TABLE_SLICE, ROW_SLICE = 1 << 20, 1 << 13, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,46 +62,26 @@ class LrdTestResult:
     n_redraws: int = 0
 
 
-def _check_bandwidth(bandwidth: int, n: int) -> None:
-    if not 0 <= bandwidth < n:
-        raise InvalidInputError(
-            f"bandwidth must lie in [0, {n - 1}], got {bandwidth}"
-        )
-
-
 def _observed(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
     """Both statistics of one series, and its bandwidth (automatic if None)."""
-    statistics, bandwidths, degenerate = _row_statistics(values[None, :].copy(), bandwidth)
-    if degenerate[0]:
+    if bandwidth is not None and not 0 <= bandwidth < values.size:
+        raise InvalidInputError(f"bandwidth must lie in [0, {values.size - 1}], got {bandwidth}")
+    statistics, bandwidth, degenerate = _row_statistics(values, bandwidth)
+    if degenerate:
         raise DegenerateVarianceError(
             "series variance is zero or not finite, or its long-run variance is not positive"
         )
-    return statistics[0], int(bandwidths[0])
+    return statistics, bandwidth
 
 
 def rescaled_range_statistic(series, bandwidth: int) -> float:
     """Modified rescaled range: profile range over S * sqrt(T)."""
-    values = as_values(series, min_length=2)
-    _check_bandwidth(bandwidth, values.size)
-    return float(_observed(values, bandwidth)[0][0])
+    return float(_observed(as_values(series, min_length=2), bandwidth)[0][0])
 
 
 def rescaled_variance_statistic(series, bandwidth: int) -> float:
     """Rescaled variance: population variance of the profile over T * S^2."""
-    values = as_values(series, min_length=2)
-    _check_bandwidth(bandwidth, values.size)
-    return float(_observed(values, bandwidth)[0][1])
-
-
-def _permute_blocks(values: np.ndarray, block_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Permute complete non-overlapping blocks, keeping the tail in place."""
-    n_blocks = values.size // block_size
-    used = n_blocks * block_size
-    blocks = values[:used].reshape(n_blocks, block_size)
-    permuted = blocks[rng.permutation(n_blocks)].ravel()
-    if used == values.size:
-        return permuted
-    return np.concatenate([permuted, values[used:]])
+    return float(_observed(as_values(series, min_length=2), bandwidth)[0][1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -119,53 +100,119 @@ def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
     return orders
 
 
+def _block_kernel(values: np.ndarray, block_size: int):
+    """Statistics of block-bootstrap surrogates from per-block tables.
+
+    The centred series is cut into B complete blocks, the rows of X, and the
+    tail, zero-padded to row B, which stays last in every surrogate. The
+    variance and the products within a block do not depend on the order.
+    The Bartlett-weighted products between the blocks in slots j and j + m
+    sum to F_m[o_j, o_{j+m}], with F_m = X A_m X^T and A_m[i, i'] =
+    w(m b + i' - i): one (B + 1)^2 table per bandwidth q and m <= ceil(q / b).
+    Lo's lag-1 product pairs the last and first values of adjacent blocks.
+    The profile is the running total of the block sums plus each block's own
+    partial sums, whose extremes and moments are tabled. Past
+    ``TABLE_ENTRIES``, the gathered surrogate rows serve instead. Returns a
+    function of (k, B) block orders that gives, as arrays, what
+    ``series._row_statistics`` gives for each surrogate.
+    """
+    n, b = values.size, block_size
+    n_blocks = n // b
+    blocks = np.zeros((n_blocks + 1, b))
+    blocks.flat[:n] = values - values.mean()
+    lengths = np.full(n_blocks + 1, float(b))
+    lengths[-1] = n - n_blocks * b
+    partial = np.cumsum(blocks, axis=1)
+    real = np.arange(b) < lengths[:, None]
+    means = np.where(real, partial, 0.0).sum(axis=1) / np.maximum(lengths, 1.0)
+    spread_ss = np.sum(np.where(real, partial - means[:, None], 0.0) ** 2)
+    # Profile offsets within each block, from the block's end.
+    sums = partial[:, -1]
+    peaks, troughs, means = partial.max(axis=1) - sums, partial.min(axis=1) - sums, means - sums
+    gamma0 = np.sum(blocks * blocks)
+    lag1_within = np.sum(blocks[:, :-1] * blocks[:, 1:])
+    tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
+    step = max(1, TABLE_SLICE // (n_blocks + 1) if tabled else ROW_SLICE // blocks.size)
+    lags = np.arange(b) - np.arange(b)[:, None]
+
+    def slots(orders: np.ndarray) -> np.ndarray:
+        """(k, B + 1) block indices by slot; the tail is last."""
+        o = np.full((len(orders), n_blocks + 1), n_blocks, dtype=np.intp)
+        o[:, :-1] = orders
+        return o
+
+    def bandwidth(lag1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lo's bandwidths from lag-1 products, and where they are undefined."""
+        rho = lag1 / gamma0
+        undefined = ~(np.abs(rho) < 1.0)
+        return np.where(undefined, 0, _lo_bandwidth(n, rho)).astype(np.int64), undefined
+
+    def from_tables(o: np.ndarray) -> tuple:
+        """Bandwidths, undefined mask, and T times the profile range and
+        variance of each row of slots; the cross products come later."""
+        lag1 = np.einsum("kj,kj->k", np.take(blocks[:, -1], o)[:, :-1], np.take(blocks[:, 0], o)[:, 1:])
+        ends = np.cumsum(np.take(sums, o), axis=1)
+        spread = (ends + np.take(peaks, o)).max(axis=1) - (ends + np.take(troughs, o)).min(axis=1)
+        centres = ends + np.take(means, o)
+        centres -= (centres @ lengths / n)[:, None]
+        prof_var = spread_ss + (centres * centres) @ lengths
+        return (*bandwidth(lag1_within + lag1), spread, prof_var, np.zeros(len(o)))
+
+    def from_rows(o: np.ndarray) -> tuple:
+        """As ``from_tables``, with the weighted lag products, from the rows."""
+        rows = np.take(blocks, o, axis=0).reshape(len(o), -1)[:, :n]
+        q, undefined = bandwidth(np.einsum("kt,kt->k", rows[:, :-1], rows[:, 1:]))
+        weights = np.maximum(1.0 - np.arange(1, q.max() + 1) / (q[:, None] + 1.0), 0.0)
+        cross = sum(w * np.einsum("kt,kt->k", rows[:, :-lag], rows[:, lag:])
+                    for lag, w in enumerate(weights.T, 1))
+        profile = np.cumsum(rows, axis=1)
+        spread = profile.max(axis=1) - profile.min(axis=1)
+        profile -= profile.mean(axis=1, keepdims=True)
+        return q, undefined, spread, np.einsum("kt,kt->k", profile, profile), cross
+
+    def kernel(orders: np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            parts = [(from_tables if tabled else from_rows)(slots(orders[start: start + step]))
+                     for start in range(0, len(orders), step)]
+            bandwidths, degenerate, spread, prof_var, cross = map(np.concatenate, zip(*parts))
+            for q in np.unique(bandwidths) if tabled else ():
+                group = np.flatnonzero(bandwidths == q)
+                lag = b * np.arange(-(-q // b) + 1)[:, None, None] + lags
+                weighted = blocks @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
+                cross[group] = np.sum(weighted[0] * blocks)
+                for m in range(1, len(weighted)):
+                    table = (weighted[m] @ blocks.T).ravel()
+                    for rows in np.array_split(group, range(step, group.size, step)):
+                        o = slots(orders[rows])
+                        cross[rows] += np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:]).sum(axis=1)
+                    del table  # before the next one is built: at most one is held
+            s2 = (gamma0 + 2.0 * cross) / n
+            statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * n * s2)], axis=1)
+        return statistics, bandwidths, degenerate | ~(np.isfinite(s2) & (s2 > 0.0))
+
+    return kernel
+
+
 def _ensemble(
     values: np.ndarray, block_size: int, n_surrogates: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Statistics of every surrogate as (n_surrogates, 2), and the redraws."""
-    n = values.size
-    n_blocks = n // block_size
-    used = n_blocks * block_size
-    blocks = values[:used].reshape(n_blocks, block_size)
-    orders = _block_orders(seed, n_surrogates, n_blocks)
+    n_blocks = values.size // block_size
+    kernel = _block_kernel(values, block_size)
+    statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks))
     redraw_budget = 10 * n_surrogates
-
-    def redraw(index: int) -> tuple[np.ndarray, int]:
-        """Statistics of surrogate ``index`` after its first draw proved
-        degenerate: continue its own generator past that permutation."""
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    redraws = 0
+    for index in np.flatnonzero(degenerate):
+        # Continue surrogate ``index``'s own generator past its first draw.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(index),)))
         rng.permutation(n_blocks)
-        redraws = 1
-        while True:
-            surrogate = _permute_blocks(values, block_size, rng)
-            statistics, _, degenerate = _row_statistics(surrogate[None, :])
-            if not degenerate[0]:
-                return statistics[0], redraws
+        while degenerate[index]:
             redraws += 1
             if redraws > redraw_budget:
-                raise ComputationAbortedError(
-                    f"surrogate {index} exceeded {redraw_budget} redraws"
-                )
-
-    def chunk(start: int) -> tuple[np.ndarray, int]:
-        order = orders[start: start + CHUNK_SIZE]
-        rows = blocks[order].reshape(len(order), used)
-        if used < n:
-            rows = np.hstack([rows, np.broadcast_to(values[used:], (len(order), n - used))])
-        pairs, _, degenerate = _row_statistics(rows)
-        redraws = 0
-        for row in np.flatnonzero(degenerate):
-            pairs[row], count = redraw(start + int(row))
-            redraws += count
-        return pairs, redraws
-
-    chunks = [chunk(start) for start in range(0, n_surrogates, CHUNK_SIZE)]
-    total_redraws = sum(count for _, count in chunks)
-    if total_redraws > redraw_budget:
-        raise ComputationAbortedError(
-            f"{total_redraws} surrogate redraws exceeded the budget of {redraw_budget}"
-        )
-    return np.vstack([pairs for pairs, _ in chunks]), total_redraws
+                raise ComputationAbortedError(f"redraws exceeded the budget of {redraw_budget}")
+            pairs, _, again = kernel(rng.permutation(n_blocks)[None, :])
+            statistics[index], degenerate[index] = pairs[0], again[0]
+    return statistics, redraws
 
 
 def bootstrap_lrd_tests(
@@ -178,10 +225,11 @@ def bootstrap_lrd_tests(
 
     Every surrogate permutes the complete blocks, recomputes the automatic
     bandwidth, and evaluates both statistics. Surrogate i takes its block
-    order from child i of ``SeedSequence(seed)``, so results do not depend
-    on the ``CHUNK_SIZE`` surrogates evaluated together. A surrogate with a
-    degenerate variance is redrawn from its own child generator; more than
-    ``10 * n_surrogates`` redraws in total abort the run.
+    order from child i of ``SeedSequence(seed)`` and is evaluated from per-
+    block tables (``_block_kernel``) in O(B (q / b + 1)) for B blocks and
+    bandwidth q. A surrogate with a degenerate variance is redrawn from its
+    own child generator; more than ``10 * n_surrogates`` redraws in total
+    abort the run.
 
     Returns a dict keyed by test kind.
     """
@@ -200,9 +248,12 @@ def bootstrap_lrd_tests(
 
     observed, bandwidth = _observed(values)
     surrogate_stats, total_redraws = _ensemble(values, block_size, n_surrogates, seed)
+    # A surrogate that ties the observed statistics, such as the series in
+    # its own order, may land a few ulps below them in the kernel's rounding.
+    threshold = observed * (1.0 - 1e-12)
     results: dict[str, LrdTestResult] = {}
     for column, kind in enumerate(TEST_KINDS):
-        exceed = int(np.sum(surrogate_stats[:, column] >= observed[column]))
+        exceed = int(np.sum(surrogate_stats[:, column] >= threshold[column]))
         results[kind] = LrdTestResult(
             statistic=float(observed[column]),
             bandwidth=bandwidth,

@@ -147,27 +147,22 @@ def build_profile(series) -> Profile:
 
 
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocovariances at lags 0..max_lag of already centered rows.
+    """Autocovariances at lags 0..max_lag of an already centered array.
 
-    ``centered`` has shape (..., n); the result has shape (..., max_lag + 1).
-    Every lag divides by the full length. Short bandwidths use direct row
-    products; longer ones go through one FFT round trip along the rows.
+    Every lag divides by the full length. Short bandwidths use direct dot
+    products; longer ones go through one FFT round trip.
     """
-    n = centered.shape[-1]
+    n = centered.size
     if max_lag <= 32:
-        out = np.empty(centered.shape[:-1] + (max_lag + 1,))
-        for k in range(max_lag + 1):
-            out[..., k] = _row_dots(centered[..., : n - k], centered[..., k:])
+        out = np.empty(max_lag + 1)
+        out[0] = centered @ centered
+        for k in range(1, max_lag + 1):
+            out[k] = centered[:-k] @ centered[k:]
         return out / n
     m = _fft_length(n + max_lag)
-    spectrum = np.fft.rfft(centered, m, axis=-1)
+    spectrum = np.fft.rfft(centered, m)
     spectrum *= spectrum.conj()
-    return np.fft.irfft(spectrum, m, axis=-1)[..., : max_lag + 1] / n
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, with the rounding of a 1-D ``a @ b``."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.fft.irfft(spectrum, m)[: max_lag + 1] / n
 
 
 def _fft_length(size: int) -> int:
@@ -196,63 +191,49 @@ def autocovariance(series, lag: int) -> float:
     return float(centered[:-lag] @ centered[lag:]) / x.size
 
 
-def _lo_bandwidth(n_obs: int, rho: np.ndarray) -> np.ndarray:
-    """Lo's rule for lag-1 autocorrelations strictly inside (-1, 1)."""
-    raw = (1.5 * n_obs) ** (1.0 / 3.0) * (2.0 * np.abs(rho) / (1.0 - rho * rho)) ** (2.0 / 3.0)
-    return np.minimum(np.floor(raw), n_obs - 1).astype(np.int64)
+def _lo_bandwidth(n_obs: int, rho):
+    """Lo's rule for lag-1 autocorrelations strictly inside (-1, 1): a float
+    or an array. ``np.power`` rounds a float as it rounds an array entry."""
+    raw = (1.5 * n_obs) ** (1.0 / 3.0) * np.power(2.0 * abs(rho) / (1.0 - rho * rho), 2.0 / 3.0)
+    return np.minimum(np.floor(raw), n_obs - 1)
 
 
-def _auto_bandwidths(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Automatic bandwidth of each centered row of a (k, n) array, and a mask
-    of the rows where it is undefined: zero or non-finite variance.
-    Overflow and 0/0 here are expected; callers silence their warnings."""
+def _auto_bandwidth(centered: np.ndarray) -> tuple[int, bool]:
+    """Automatic bandwidth of a centered array, and whether it is undefined."""
     gamma = _autocovariances(centered, 1)
-    rho = gamma[:, 1] / gamma[:, 0]
-    defined = np.abs(rho) < 1.0
-    bandwidth = np.zeros(rho.size, dtype=np.int64)
-    bandwidth[defined] = _lo_bandwidth(centered.shape[1], rho[defined])
-    return bandwidth, ~defined
+    rho = gamma[1] / gamma[0]
+    if not abs(rho) < 1.0:
+        return 0, True
+    return int(_lo_bandwidth(centered.size, rho)), False
 
 
-def _long_run_variances(centered: np.ndarray, bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bartlett long-run variance and lag-0 autocovariance of each centered
-    row of a (k, n) array, at the row's own bandwidth. Lag products run up
-    to the largest bandwidth, and each row's weights are zero beyond its own."""
-    max_lag = int(bandwidths.max())
-    weights = np.maximum(1.0 - np.arange(1, max_lag + 1) / (bandwidths[:, None] + 1.0), 0.0)
-    gamma = _autocovariances(centered, max_lag)
-    return gamma[:, 0] + 2.0 * _row_dots(weights, gamma[:, 1:]), gamma[:, 0]
+def _long_run_variance(centered: np.ndarray, bandwidth: int) -> tuple[float, float]:
+    """Bartlett long-run variance and lag-0 autocovariance of a centered array."""
+    weights = 1.0 - np.arange(1, bandwidth + 1) / (bandwidth + 1.0)
+    gamma = _autocovariances(centered, bandwidth)
+    return gamma[0] + 2.0 * (weights @ gamma[1:]), gamma[0]
 
 
-def _row_statistics(
-    rows: np.ndarray, bandwidth: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rescaled range and rescaled variance of each row, as (k, 2), with the
-    bandwidths and the mask of degenerate rows.
-
-    ``rows`` has shape (k, n) and is overwritten: it is centered, then
-    integrated into the profile, in place, so that direct lag products
-    allocate no other (k, n) array. Each row gets Lo's automatic bandwidth,
-    unless one ``bandwidth`` is given for all of them. A row is degenerate
-    when its variance is zero or not finite, or its long-run variance is
-    not positive and finite; its statistics are then meaningless.
-    """
-    k, n = rows.shape
+def _row_statistics(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int, bool]:
+    """Rescaled range and rescaled variance of one series, at Lo's automatic
+    bandwidth unless one is given, with the bandwidth and whether the series
+    is degenerate: its variance zero or not finite, or its long-run variance
+    not positive and finite, so that its statistics are meaningless."""
+    n = values.size
+    degenerate = False
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows -= rows.mean(axis=1, keepdims=True)
+        centered = values - values.mean()
         if bandwidth is None:
-            bandwidths, degenerate = _auto_bandwidths(rows)
-        else:
-            bandwidths, degenerate = np.full(k, bandwidth, dtype=np.int64), np.zeros(k, dtype=bool)
-        s2, _ = _long_run_variances(rows, bandwidths)
-        profile = np.cumsum(rows, axis=1, out=rows)
-        spread = profile.max(axis=1) - profile.min(axis=1)
-        profile -= profile.mean(axis=1, keepdims=True)
-        prof_var = _row_dots(profile, profile) / n
-        statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * s2)], axis=1)
+            bandwidth, degenerate = _auto_bandwidth(centered)
+        s2, _ = _long_run_variance(centered, bandwidth)
+        profile = np.cumsum(centered)
+        spread = profile.max() - profile.min()
+        profile -= profile.mean()
+        prof_var = (profile @ profile) / n
+        statistics = np.array([spread / np.sqrt(s2 * n), prof_var / (n * s2)])
     # A zero or non-finite variance gives a zero or non-finite s2 too.
-    degenerate |= ~(np.isfinite(s2) & (s2 > 0.0))
-    return statistics, bandwidths, degenerate
+    degenerate |= not (np.isfinite(s2) and s2 > 0.0)
+    return statistics, bandwidth, degenerate
 
 
 def hac_variance(series, bandwidth: int) -> HacVariance:
@@ -272,12 +253,12 @@ def hac_variance(series, bandwidth: int) -> HacVariance:
             f"bandwidth must lie in [0, {x.size - 1}], got {bandwidth}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        s2, gamma0 = _long_run_variances((x - x.mean())[None, :], np.array([bandwidth]))
-    if not (np.isfinite(s2[0]) and s2[0] > 0.0):
+        s2, gamma0 = _long_run_variance(x - x.mean(), bandwidth)
+    if not (np.isfinite(s2) and s2 > 0.0):
         raise DegenerateVarianceError(
-            f"long-run variance {s2[0]:g} at bandwidth {bandwidth} is not positive and finite"
+            f"long-run variance {s2:g} at bandwidth {bandwidth} is not positive and finite"
         )
-    return HacVariance(long_run_variance=float(s2[0]), bandwidth=bandwidth, variance=float(gamma0[0]))
+    return HacVariance(long_run_variance=float(s2), bandwidth=bandwidth, variance=float(gamma0))
 
 
 def auto_bandwidth_value(n_obs: int, lag1_autocorr: float) -> int:
@@ -293,7 +274,7 @@ def auto_bandwidth_value(n_obs: int, lag1_autocorr: float) -> int:
         raise InvalidInputError(
             f"lag-1 autocorrelation must lie strictly inside (-1, 1), got {rho:g}"
         )
-    return int(_lo_bandwidth(n_obs, np.array([rho]))[0])
+    return int(_lo_bandwidth(n_obs, rho))
 
 
 def auto_bandwidth(series) -> int:
@@ -305,7 +286,7 @@ def auto_bandwidth(series) -> int:
     """
     x = as_values(series, min_length=2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bandwidth, undefined = _auto_bandwidths((x - x.mean())[None, :])
-    if undefined[0]:
+        bandwidth, undefined = _auto_bandwidth(x - x.mean())
+    if undefined:
         raise DegenerateVarianceError("series has no finite nonzero variance, so no bandwidth")
-    return int(bandwidth[0])
+    return bandwidth

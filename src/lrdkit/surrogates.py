@@ -34,6 +34,7 @@ __all__ = [
     "average_coefficient",
 ]
 
+MIN_SURROGATES = 100
 # Surrogate pairs evaluated together. Larger chunks cost memory traffic
 # and resident memory without saving time.
 CHUNK_SIZE = 8
@@ -43,7 +44,7 @@ CHUNK_SIZE = 8
 class SurrogateConfig:
     """Ensemble parameters for surrogate-based p-values.
 
-    Fewer than 100 surrogates would make the reported p-values too coarse
+    Fewer than ``MIN_SURROGATES`` would make the reported p-values too coarse
     and are rejected, as are negative seeds.
     """
 
@@ -52,9 +53,9 @@ class SurrogateConfig:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_surrogates < 100:
+        if self.n_surrogates < MIN_SURROGATES:
             raise InvalidInputError(
-                f"need at least 100 surrogates for p-values, got {self.n_surrogates}"
+                f"need at least {MIN_SURROGATES} surrogates for p-values, got {self.n_surrogates}"
             )
         if self.n_jobs < 1:
             raise InvalidInputError("n_jobs must be positive")

@@ -56,8 +56,9 @@ class FgnSpec:
             raise InvalidInputError(
                 f"length must be at least 16, got {self.length}"
             )
-        if not self.sigma > 0.0:
-            raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
+        # The embedding's spectrum sums 2 * length autocovariances of at most sigma^2.
+        if not (self.sigma > 0.0 and math.isfinite(2.0 * self.length * self.sigma * self.sigma)):
+            raise InvalidInputError(f"need sigma > 0 and 2 * length * sigma^2 finite, got {self.sigma}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 

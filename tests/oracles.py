@@ -62,6 +62,15 @@ def m_stat_naive(x, q):
     return variance / (x.size * hac_naive(x, q))
 
 
+def permute_blocks(values, block_size, rng):
+    """One block-bootstrap surrogate: the complete blocks in the order of
+    ``rng.permutation``, then the tail in place."""
+    n_blocks = values.size // block_size
+    used = n_blocks * block_size
+    blocks = values[:used].reshape(n_blocks, block_size)
+    return np.concatenate([blocks[rng.permutation(n_blocks)].ravel(), values[used:]])
+
+
 def _boxes_naive(profile, scale):
     n = profile.size
     n_boxes = n // scale

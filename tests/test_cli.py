@@ -62,6 +62,30 @@ class TestSynth:
         assert series.dates[0].isoformat() == "2010-05-01"
         assert len(series) == 20
 
+    @pytest.mark.parametrize("sigma", ["inf", "1e308"])
+    def test_overflowing_sigma_fails_cleanly(self, sigma):
+        result = run_cli("synth", "--hurst", "0.6", "--length", "20", "--sigma", sigma)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: need sigma > 0 and 2 * length * sigma^2 finite, got {float(sigma)}"
+        ]
+
+    @pytest.mark.parametrize("date", ["20040105", "2004-W01-1"])
+    def test_start_date_must_be_year_month_day(self, date):
+        result = run_cli("synth", "--hurst", "0.6", "--length", "20", "--start-date", date)
+        assert result.returncode == 2
+        assert "invalid ISO date" in result.stderr
+
+    def test_label_option_is_gone(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("label = foo\n")
+        argv = ("synth", "--hurst", "0.6", "--length", "20")
+        assert run_cli(*argv, "--label", "foo").returncode == 2
+        result = run_cli(*argv, "--config", str(config))
+        assert result.returncode == 2
+        assert "unknown key 'label'" in result.stderr
+
     def test_invalid_hurst_is_a_usage_error(self):
         result = run_cli("synth", "--hurst", "1.5", "--length", "32")
         assert result.returncode == 2
@@ -152,6 +176,18 @@ class TestLrdtest:
         assert "variance" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_non_utf8_input_fails_cleanly(self, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"date,value\n2004-01-01,1\xff\n")
+        result = run_cli("lrdtest", str(data))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: {data}: byte 23 is not UTF-8 text"]
+
+    def test_one_surrogate_is_enough(self, noise_csv):
+        result = run_cli("lrdtest", str(noise_csv), "--surrogates", "1")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["results"][0]["rescaled_range_p"] in (0.5, 1.0)
+
     def test_missing_input_file(self, tmp_path):
         result = run_cli("lrdtest", str(tmp_path / "absent.csv"))
         assert result.returncode == 1
@@ -207,6 +243,17 @@ class TestXcorr:
         )
         document = json.loads(result.stdout)
         assert document["results"]["dcca"]["scales"] == [10, 20, 30, 40, 50, 60]
+
+    def test_fewer_than_100_surrogates_are_a_usage_error(self, noise_csv, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("surrogates = 99\n")
+        via_flag = run_cli("xcorr", str(noise_csv), str(noise_csv), "--surrogates", "50")
+        via_config = run_cli("xcorr", str(noise_csv), str(noise_csv), "--config", str(config))
+        for result, count in ((via_flag, 50), (via_config, 99)):
+            assert result.returncode == 2
+            assert result.stderr.splitlines() == [
+                f"usage error: xcorr needs at least 100 surrogates, got {count}"
+            ]
 
     def test_grid_with_both_methods_rejected(self, noise_csv):
         result = run_cli(
@@ -397,6 +444,14 @@ class TestConfigFile:
         result = run_cli("lrdtest", str(noise_csv), "--config", str(config))
         assert result.returncode == 2
         assert "unknown key" in result.stderr
+
+    def test_non_utf8_config_is_a_usage_error(self, noise_csv, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"seed = 1\xff\n")
+        result = run_cli("lrdtest", str(noise_csv), "--config", str(config))
+        assert result.returncode == 2
+        assert "usage error: cannot read config file" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_key_rejected(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"

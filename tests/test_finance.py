@@ -255,6 +255,19 @@ class TestCsv:
         with pytest.raises(InvalidInputError, match=":3"):
             read_series_csv(target, "trends")
 
+    @pytest.mark.parametrize("date", ["20210101", "2021-W01-1", "2021-1-01"])
+    def test_only_year_month_day_dates(self, tmp_path, date):
+        target = tmp_path / "bad.csv"
+        target.write_text(f"date,value\n{date},5\n")
+        with pytest.raises(InvalidInputError, match=":2: invalid ISO date"):
+            read_series_csv(target, "trends")
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        target = tmp_path / "latin1.csv"
+        target.write_bytes(b"date,value\n2004-01-01,1\xff\n")
+        with pytest.raises(InvalidInputError, match="latin1.csv: byte 23 is not UTF-8"):
+            read_series_csv(target, "trends")
+
     def test_wrong_field_count(self, tmp_path):
         target = tmp_path / "bad.csv"
         target.write_text("date,value\n2021-01-01,5,7\n")

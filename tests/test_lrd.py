@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,24 +17,30 @@ from lrdkit.lrd import (
     rescaled_range_statistic,
     rescaled_variance_statistic,
 )
-from lrdkit.series import auto_bandwidth
+from lrdkit.series import _row_statistics, auto_bandwidth
 
 from conftest import IID_SIZE_SEEDS
-from oracles import m_stat_naive, v_stat_naive
+from oracles import m_stat_naive, permute_blocks, v_stat_naive
 
 
-def scripted_statistics(script):
-    """Stand-in for the statistics kernel: call i gives every row the value
-    ``script[i]`` for both statistics, or marks every row degenerate for None."""
+def scripted_kernel(script):
+    """Stand-in for ``lrd._block_kernel``: evaluation i gives every order row
+    the value ``script[i]`` for both statistics, or marks every row
+    degenerate for None."""
     calls = iter(script)
 
-    def kernel(rows, bandwidth=None):
+    def kernel(orders):
         value = next(calls)
-        k = rows.shape[0]
+        k = len(orders)
         statistics = np.full((k, 2), np.nan if value is None else value)
         return statistics, np.zeros(k, dtype=np.int64), np.full(k, value is None)
 
-    return kernel
+    return lambda values, block_size: kernel
+
+
+def observed_one(values, bandwidth=None):
+    """Stand-in for ``lrd._row_statistics``: both statistics are 1."""
+    return np.ones(2), 0, False
 
 
 def ar1(phi, n, seed):
@@ -53,9 +60,9 @@ def serial_ensemble(values, block_size, n_surrogates, seed, second_draw=()):
     stats, bandwidths = np.empty((n_surrogates, 2)), []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        surrogate = lrd._permute_blocks(values, block_size, rng)
+        surrogate = permute_blocks(values, block_size, rng)
         if i in second_draw:
-            surrogate = lrd._permute_blocks(values, block_size, rng)
+            surrogate = permute_blocks(values, block_size, rng)
         q = auto_bandwidth(surrogate)
         stats[i] = rescaled_range_statistic(surrogate, q), rescaled_variance_statistic(surrogate, q)
         bandwidths.append(q)
@@ -114,13 +121,15 @@ class TestStatistics:
 
 
 class TestPermuteBlocks:
+    """The reference surrogates that the ensemble tests compare with."""
+
     def test_blocks_move_as_units_and_tail_stays(self):
         values = np.arange(10.0)
         rng = np.random.default_rng(3)
         original_blocks = {(0.0, 1.0, 2.0), (3.0, 4.0, 5.0), (6.0, 7.0, 8.0)}
         seen_orders = set()
         for _ in range(20):
-            permuted = lrd._permute_blocks(values, 3, rng)
+            permuted = permute_blocks(values, 3, rng)
             assert permuted[-1] == 9.0
             triples = {tuple(permuted[i : i + 3]) for i in (0, 3, 6)}
             assert triples == original_blocks
@@ -129,14 +138,14 @@ class TestPermuteBlocks:
 
     def test_multiset_preserved(self):
         values = np.random.default_rng(4).standard_normal(57)
-        permuted = lrd._permute_blocks(values, 10, np.random.default_rng(5))
+        permuted = permute_blocks(values, 10, np.random.default_rng(5))
         assert sorted(permuted.tolist()) == sorted(values.tolist())
         assert np.array_equal(permuted[50:], values[50:])
 
     def test_seed_determinism(self):
         values = np.random.default_rng(6).standard_normal(40)
-        a = lrd._permute_blocks(values, 7, np.random.default_rng(8))
-        b = lrd._permute_blocks(values, 7, np.random.default_rng(8))
+        a = permute_blocks(values, 7, np.random.default_rng(8))
+        b = permute_blocks(values, 7, np.random.default_rng(8))
         assert np.array_equal(a, b)
 
 
@@ -186,8 +195,8 @@ class TestBootstrap:
 
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)
-        script = [1.0, None, None, None, 0.5]
-        monkeypatch.setattr(lrd, "_row_statistics", scripted_statistics(script))
+        monkeypatch.setattr(lrd, "_row_statistics", observed_one)
+        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel([None, None, None, 0.5]))
         results = bootstrap_lrd_tests(x, n_surrogates=1, seed=0)
         assert results["rescaled_range"].n_redraws == 3
         assert results["rescaled_variance"].n_redraws == 3
@@ -196,8 +205,8 @@ class TestBootstrap:
 
     def test_persistent_degeneracy_aborts(self, monkeypatch):
         x = np.random.default_rng(38).standard_normal(60)
-        script = itertools.chain([1.0], itertools.repeat(None))
-        monkeypatch.setattr(lrd, "_row_statistics", scripted_statistics(script))
+        monkeypatch.setattr(lrd, "_row_statistics", observed_one)
+        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel(itertools.repeat(None)))
         with pytest.raises(ComputationAbortedError):
             bootstrap_lrd_tests(x, n_surrogates=2, seed=0)
 
@@ -207,8 +216,8 @@ class TestBootstrap:
 
 
 class TestChunkedEnsemble:
-    """150 surrogates span two full chunks and a partial one; T = 1013 leaves
-    a 13-value tail after the blocks of 25."""
+    """The ensemble against the public single-series functions. T = 1013
+    leaves a 13-value tail after the blocks of 25."""
 
     @pytest.mark.parametrize("phi", [0.0, 0.85])
     def test_matches_one_surrogate_at_a_time(self, phi):
@@ -218,9 +227,8 @@ class TestChunkedEnsemble:
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert redraws == 0
         if phi > 0:
-            # Each chunk's largest bandwidth exceeds 32, so the FFT route
-            # serves rows whose own bandwidth would take direct products.
-            assert min(bandwidths) <= 32 < max(bandwidths[128:])
+            # The reference takes both the direct and the FFT route.
+            assert min(bandwidths) <= 32 < max(bandwidths)
 
         q = auto_bandwidth(values)
         observed = (rescaled_range_statistic(values, q), rescaled_variance_statistic(values, q))
@@ -233,18 +241,22 @@ class TestChunkedEnsemble:
 
     def test_degenerate_row_mid_chunk_redrawn_from_its_generator(self, monkeypatch):
         values = ar1(0.5, 1013, seed=41)
-        expected, _ = serial_ensemble(values, 25, 150, 17, second_draw={64 + 37})
-        real = lrd._row_statistics
-        chunks = []
+        expected, _ = serial_ensemble(values, 25, 150, 17, second_draw={101})
+        real = lrd._block_kernel
 
-        def degenerate_row_37_of_chunk_2(rows, bandwidth=None):
-            statistics, bandwidths, degenerate = real(rows, bandwidth)
-            if rows.shape[0] == lrd.CHUNK_SIZE:
-                chunks.append(rows)
-                degenerate[37] |= len(chunks) == 2
-            return statistics, bandwidths, degenerate
+        def degenerate_row_101_of_first_call(values, block_size):
+            kernel, calls = real(values, block_size), []
 
-        monkeypatch.setattr(lrd, "_row_statistics", degenerate_row_37_of_chunk_2)
+            def forced(orders):
+                statistics, bandwidths, degenerate = kernel(orders)
+                calls.append(len(orders))
+                if len(calls) == 1:
+                    degenerate[101] = True
+                return statistics, bandwidths, degenerate
+
+            return forced
+
+        monkeypatch.setattr(lrd, "_block_kernel", degenerate_row_101_of_first_call)
         stats, redraws = lrd._ensemble(values, 25, 150, 17)
         assert redraws == 1
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
@@ -256,6 +268,69 @@ class TestChunkedEnsemble:
         assert first.dtype.itemsize <= 4
         children = np.random.SeedSequence(5).spawn(10)
         assert np.array_equal(first, [np.random.default_rng(c).permutation(7) for c in children])
+
+
+def row_kernel(values, block_size, orders):
+    """What the block kernel returns, one surrogate at a time through
+    ``series._row_statistics``."""
+    n_blocks = values.size // block_size
+    blocks = values[: n_blocks * block_size].reshape(n_blocks, block_size)
+    tail = values[n_blocks * block_size:]
+    rows = [_row_statistics(np.concatenate([blocks[order].ravel(), tail])) for order in orders]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n, block_size, phi, tabled", [
+        (1013, 25, 0.0, True),  # 13-value tail; near-white surrogates get q = 0
+        (1013, 25, 0.97, True),  # q >= b: products two and more blocks apart
+        (1000, 25, 0.9, True),  # no tail
+        (1013, 1, 0.5, True),
+        (1013, 2, 0.9, True),
+        (2101, 2, 0.9, False),  # more than 1023 blocks: gathered rows
+        (1100, 1, 0.3, False),
+    ])
+    def test_matches_row_statistics(self, n, block_size, phi, tabled):
+        values = ar1(phi, n, seed=n + block_size)
+        n_blocks = n // block_size
+        assert ((n_blocks + 1) ** 2 <= lrd.TABLE_ENTRIES) == tabled
+        orders = lrd._block_orders(3, 150, n_blocks)
+        stats, bandwidths, degenerate = lrd._block_kernel(values, block_size)(orders)
+        expected, expected_bandwidths, expected_degenerate = row_kernel(values, block_size, orders)
+        np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(bandwidths, expected_bandwidths)
+        assert not degenerate.any() and not expected_degenerate.any()
+        observed = _row_statistics(values)[0]
+        assert np.array_equal(np.sum(stats >= observed, axis=0), np.sum(expected >= observed, axis=0))
+        if phi == 0.0:
+            assert 0 in bandwidths
+        if phi == 0.97:
+            assert bandwidths.min() >= block_size
+
+    @pytest.mark.parametrize("n, block_size", [(2500, 1), (2047, 2)])
+    def test_memory_stays_bounded(self, n, block_size):
+        # Gathered rows of the longest surrogates, and the largest table.
+        values = ar1(0.9, n, seed=45)
+        lrd._block_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            bootstrap_lrd_tests(values, block_size=block_size, n_surrogates=1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_surrogate_in_the_original_order_ties(self):
+        # Two blocks and a tail: about half the surrogates are the series
+        # itself, which the kernel evaluates a few ulps below the observed
+        # statistics for this seed.
+        values = ar1(0.3, 60, seed=41)
+        identity = lrd._block_orders(9, 200, 2)[:, 0] == 0
+        stats, _ = lrd._ensemble(values, 25, 200, 9)
+        results = bootstrap_lrd_tests(values, n_surrogates=200, seed=9)
+        for column, kind in enumerate(TEST_KINDS):
+            exceed = identity.sum() + np.sum(stats[~identity, column] >= results[kind].statistic)
+            assert results[kind].p_value == (1.0 + exceed) / 201.0
 
 
 class TestNullDistribution:

@@ -64,6 +64,9 @@ class TestGenerateFgn:
             FgnSpec(h=0.5, length=15, seed=0)
         with pytest.raises(InvalidInputError):
             FgnSpec(h=0.5, length=256, seed=0, sigma=0.0)
+        for sigma in (float("inf"), float("nan"), 1e308, 1e154):
+            with pytest.raises(InvalidInputError):
+                FgnSpec(h=0.5, length=256, seed=0, sigma=sigma)
         with pytest.raises(InvalidInputError):
             FgnSpec(h=0.5, length=256, seed=-3)
 
