@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,48 +269,48 @@ def read_series_csv(path, schema: str):
         raise InvalidInputError(f"unknown schema {schema!r}")
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise InvalidInputError(f"{path}: byte {error.start} is not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidInputError(f"{path}: empty file") from None
-    expected = TRENDS_HEADER if schema == "trends" else OHLCV_HEADER
-    normalized = tuple(h.strip().lower() for h in header)
-    if normalized != expected:
-        raise InvalidInputError(
-            f"{path}:1: expected header {','.join(expected)!r}, "
-            f"got {','.join(header)!r}"
-        )
-    rows = []
-    previous_date: dt.date | None = None
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not field.strip() for field in row):
-            continue
-        where = f"{path}:{row_number}"
-        if len(row) != len(expected):
-            raise InvalidInputError(
-                f"{where}: expected {len(expected)} fields, got {len(row)}"
-            )
-        date = _parse_date(row[0], where)
-        if previous_date is not None and date <= previous_date:
-            raise InvalidInputError(
-                f"{where}: date {date} does not increase past {previous_date}"
-            )
-        previous_date = date
-        if schema == "trends":
-            rows.append((date, _parse_float(row[1], where, "value")))
-        else:
-            fields = [
-                _parse_float(row[i], where, name)
-                for i, name in enumerate(expected[1:], start=1)
-            ]
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                rows.append(OhlcvBar(date, *fields))
-            except InvalidBarError as error:
-                raise InvalidBarError(f"{where}: {error}") from None
+                header = next(reader)
+            except StopIteration:
+                raise InvalidInputError(f"{path}: empty file") from None
+            expected = TRENDS_HEADER if schema == "trends" else OHLCV_HEADER
+            normalized = tuple(h.strip().lower() for h in header)
+            if normalized != expected:
+                raise InvalidInputError(
+                    f"{path}:1: expected header {','.join(expected)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            rows = []
+            previous_date: dt.date | None = None
+            for row_number, row in enumerate(reader, start=2):
+                if not row or all(not field.strip() for field in row):
+                    continue
+                where = f"{path}:{row_number}"
+                if len(row) != len(expected):
+                    raise InvalidInputError(
+                        f"{where}: expected {len(expected)} fields, got {len(row)}"
+                    )
+                date = _parse_date(row[0], where)
+                if previous_date is not None and date <= previous_date:
+                    raise InvalidInputError(
+                        f"{where}: date {date} does not increase past {previous_date}"
+                    )
+                previous_date = date
+                if schema == "trends":
+                    rows.append((date, _parse_float(row[1], where, "value")))
+                else:
+                    fields = [
+                        _parse_float(row[i], where, name)
+                        for i, name in enumerate(expected[1:], start=1)
+                    ]
+                    try:
+                        rows.append(OhlcvBar(date, *fields))
+                    except InvalidBarError as error:
+                        raise InvalidBarError(f"{where}: {error}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     if schema == "trends":

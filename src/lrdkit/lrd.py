@@ -112,9 +112,10 @@ def _block_kernel(values: np.ndarray, block_size: int):
     Lo's lag-1 product pairs the last and first values of adjacent blocks.
     The profile is the running total of the block sums plus each block's own
     partial sums, whose extremes and moments are tabled. Past
-    ``TABLE_ENTRIES``, the gathered surrogate rows serve instead. Returns a
-    function of (k, B) block orders that gives, as arrays, what
-    ``series._row_statistics`` gives for each surrogate.
+    ``TABLE_ENTRIES``, all of these come from the gathered surrogate rows
+    instead. Returns a function of (k, B) block orders that gives, as arrays,
+    what ``series._row_statistics`` gives for each surrogate. With tables, a
+    row rounds the same whatever other rows it is evaluated with.
     """
     n, b = values.size, block_size
     n_blocks = n // b
@@ -133,56 +134,55 @@ def _block_kernel(values: np.ndarray, block_size: int):
     lag1_within = np.sum(blocks[:, :-1] * blocks[:, 1:])
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
     step = max(1, TABLE_SLICE // (n_blocks + 1) if tabled else ROW_SLICE // blocks.size)
-    lags = np.arange(b) - np.arange(b)[:, None]
 
     def slots(orders: np.ndarray) -> np.ndarray:
         """(k, B + 1) block indices by slot; the tail is last."""
-        o = np.full((len(orders), n_blocks + 1), n_blocks, dtype=np.intp)
-        o[:, :-1] = orders
+        o = np.empty((len(orders), n_blocks + 1), dtype=np.intp)
+        o[:, :-1], o[:, -1] = orders, n_blocks
         return o
 
-    def bandwidth(lag1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lo's bandwidths from lag-1 products, and where they are undefined."""
-        rho = lag1 / gamma0
-        undefined = ~(np.abs(rho) < 1.0)
-        return np.where(undefined, 0, _lo_bandwidth(n, rho)).astype(np.int64), undefined
-
-    def from_tables(o: np.ndarray) -> tuple:
-        """Bandwidths, undefined mask, and T times the profile range and
-        variance of each row of slots; the cross products come later."""
+    def order_free(o: np.ndarray) -> tuple:
+        """Lag-1 products, profile range and profile sum of squares of each row."""
         lag1 = np.einsum("kj,kj->k", np.take(blocks[:, -1], o)[:, :-1], np.take(blocks[:, 0], o)[:, 1:])
         ends = np.cumsum(np.take(sums, o), axis=1)
         spread = (ends + np.take(peaks, o)).max(axis=1) - (ends + np.take(troughs, o)).min(axis=1)
         centres = ends + np.take(means, o)
-        centres -= (centres @ lengths / n)[:, None]
-        prof_var = spread_ss + (centres * centres) @ lengths
-        return (*bandwidth(lag1_within + lag1), spread, prof_var, np.zeros(len(o)))
+        centres -= np.einsum("kj,j->k", centres, lengths)[:, None] / n
+        return lag1_within + lag1, spread, spread_ss + np.einsum("kj,kj,j->k", centres, centres, lengths)
 
     def from_rows(o: np.ndarray) -> tuple:
-        """As ``from_tables``, with the weighted lag products, from the rows."""
-        rows = np.take(blocks, o, axis=0).reshape(len(o), -1)[:, :n]
-        q, undefined = bandwidth(np.einsum("kt,kt->k", rows[:, :-1], rows[:, 1:]))
-        weights = np.maximum(1.0 - np.arange(1, q.max() + 1) / (q[:, None] + 1.0), 0.0)
-        cross = sum(w * np.einsum("kt,kt->k", rows[:, :-lag], rows[:, lag:])
-                    for lag, w in enumerate(weights.T, 1))
-        profile = np.cumsum(rows, axis=1)
+        """As ``order_free``, from the gathered surrogate rows."""
+        x = np.take(blocks, o, axis=0).reshape(len(o), -1)[:, :n]
+        profile = np.cumsum(x, axis=1)
         spread = profile.max(axis=1) - profile.min(axis=1)
         profile -= profile.mean(axis=1, keepdims=True)
-        return q, undefined, spread, np.einsum("kt,kt->k", profile, profile), cross
+        return np.einsum("kt,kt->k", x[:, :-1], x[:, 1:]), spread, np.einsum("kt,kt->k", profile, profile)
 
     def kernel(orders: np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            parts = [(from_tables if tabled else from_rows)(slots(orders[start: start + step]))
+            parts = [(order_free if tabled else from_rows)(slots(orders[start: start + step]))
                      for start in range(0, len(orders), step)]
-            bandwidths, degenerate, spread, prof_var, cross = map(np.concatenate, zip(*parts))
-            for q in np.unique(bandwidths) if tabled else ():
+            lag1, spread, prof_var = map(np.concatenate, zip(*parts))
+            rho = lag1 / gamma0
+            degenerate = ~(np.abs(rho) < 1.0)
+            bandwidths = np.where(degenerate, 0, _lo_bandwidth(n, rho)).astype(np.int64)
+            cross = np.empty(len(orders))
+            for q in np.unique(bandwidths):
                 group = np.flatnonzero(bandwidths == q)
-                lag = b * np.arange(-(-q // b) + 1)[:, None, None] + lags
+                slices = np.array_split(group, range(step, group.size, step))
+                if not tabled:
+                    weights = 1.0 - np.arange(1, q + 1) / (q + 1.0)
+                    for rows in slices:
+                        x = np.take(blocks, slots(orders[rows]), axis=0).reshape(len(rows), -1)
+                        cross[rows] = sum((w * np.einsum("kt,kt->k", x[:, :-lag], x[:, lag:])
+                                           for lag, w in enumerate(weights, 1)), np.zeros(len(rows)))
+                    continue
+                lag = b * np.arange(-(-q // b) + 1)[:, None, None] + np.arange(b) - np.arange(b)[:, None]
                 weighted = blocks @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
                 cross[group] = np.sum(weighted[0] * blocks)
                 for m in range(1, len(weighted)):
                     table = (weighted[m] @ blocks.T).ravel()
-                    for rows in np.array_split(group, range(step, group.size, step)):
+                    for rows in slices:
                         o = slots(orders[rows])
                         cross[rows] += np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:]).sum(axis=1)
                     del table  # before the next one is built: at most one is held
@@ -193,12 +193,8 @@ def _block_kernel(values: np.ndarray, block_size: int):
     return kernel
 
 
-def _ensemble(
-    values: np.ndarray, block_size: int, n_surrogates: int, seed: int
-) -> tuple[np.ndarray, int]:
+def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.ndarray, int]:
     """Statistics of every surrogate as (n_surrogates, 2), and the redraws."""
-    n_blocks = values.size // block_size
-    kernel = _block_kernel(values, block_size)
     statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks))
     redraw_budget = 10 * n_surrogates
     redraws = 0
@@ -247,10 +243,11 @@ def bootstrap_lrd_tests(
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
     observed, bandwidth = _observed(values)
-    surrogate_stats, total_redraws = _ensemble(values, block_size, n_surrogates, seed)
-    # A surrogate that ties the observed statistics, such as the series in
-    # its own order, may land a few ulps below them in the kernel's rounding.
-    threshold = observed * (1.0 - 1e-12)
+    kernel = _block_kernel(values, block_size)
+    surrogate_stats, total_redraws = _ensemble(kernel, n // block_size, n_surrogates, seed)
+    # The series in its own order ties the observed statistics, but the
+    # kernel rounds it differently: a surrogate reaching either value counts.
+    threshold = np.fmin(observed, kernel(np.arange(n // block_size)[None, :])[0][0])
     results: dict[str, LrdTestResult] = {}
     for column, kind in enumerate(TEST_KINDS):
         exceed = int(np.sum(surrogate_stats[:, column] >= threshold[column]))

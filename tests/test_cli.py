@@ -181,7 +181,7 @@ class TestLrdtest:
         data.write_bytes(b"date,value\n2004-01-01,1\xff\n")
         result = run_cli("lrdtest", str(data))
         assert result.returncode == 1
-        assert result.stderr.splitlines() == [f"error: {data}: byte 23 is not UTF-8 text"]
+        assert result.stderr.splitlines() == [f"error: {data}: not UTF-8 text"]
 
     def test_one_surrogate_is_enough(self, noise_csv):
         result = run_cli("lrdtest", str(noise_csv), "--surrogates", "1")

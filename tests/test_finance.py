@@ -265,7 +265,7 @@ class TestCsv:
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         target = tmp_path / "latin1.csv"
         target.write_bytes(b"date,value\n2004-01-01,1\xff\n")
-        with pytest.raises(InvalidInputError, match="latin1.csv: byte 23 is not UTF-8"):
+        with pytest.raises(InvalidInputError, match="latin1.csv: not UTF-8 text"):
             read_series_csv(target, "trends")
 
     def test_wrong_field_count(self, tmp_path):

@@ -196,7 +196,8 @@ class TestBootstrap:
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)
         monkeypatch.setattr(lrd, "_row_statistics", observed_one)
-        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel([None, None, None, 0.5]))
+        # The last evaluation is the series in its own order.
+        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel([None, None, None, 0.5, None]))
         results = bootstrap_lrd_tests(x, n_surrogates=1, seed=0)
         assert results["rescaled_range"].n_redraws == 3
         assert results["rescaled_variance"].n_redraws == 3
@@ -222,7 +223,7 @@ class TestChunkedEnsemble:
     @pytest.mark.parametrize("phi", [0.0, 0.85])
     def test_matches_one_surrogate_at_a_time(self, phi):
         values = ar1(phi, 1013, seed=40)
-        stats, redraws = lrd._ensemble(values, 25, 150, 17)
+        stats, redraws = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
         expected, bandwidths = serial_ensemble(values, 25, 150, 17)
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert redraws == 0
@@ -257,7 +258,7 @@ class TestChunkedEnsemble:
             return forced
 
         monkeypatch.setattr(lrd, "_block_kernel", degenerate_row_101_of_first_call)
-        stats, redraws = lrd._ensemble(values, 25, 150, 17)
+        stats, redraws = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
         assert redraws == 1
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
 
@@ -289,13 +290,15 @@ class TestBlockKernel:
         (1013, 2, 0.9, True),
         (2101, 2, 0.9, False),  # more than 1023 blocks: gathered rows
         (1100, 1, 0.3, False),
+        (2101, 2, 0.0, False),
     ])
     def test_matches_row_statistics(self, n, block_size, phi, tabled):
         values = ar1(phi, n, seed=n + block_size)
         n_blocks = n // block_size
         assert ((n_blocks + 1) ** 2 <= lrd.TABLE_ENTRIES) == tabled
         orders = lrd._block_orders(3, 150, n_blocks)
-        stats, bandwidths, degenerate = lrd._block_kernel(values, block_size)(orders)
+        kernel = lrd._block_kernel(values, block_size)
+        stats, bandwidths, degenerate = kernel(orders)
         expected, expected_bandwidths, expected_degenerate = row_kernel(values, block_size, orders)
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert np.array_equal(bandwidths, expected_bandwidths)
@@ -306,6 +309,23 @@ class TestBlockKernel:
             assert 0 in bandwidths
         if phi == 0.97:
             assert bandwidths.min() >= block_size
+        # A redraw evaluates one order row on its own, rounded as in the
+        # ensemble, so a surrogate in the series' own order ties exactly.
+        for row in (bandwidths.argmin(), bandwidths.argmax()):
+            single, single_bandwidths, _ = kernel(orders[row: row + 1])
+            assert np.array_equal(single[0], stats[row])
+            assert single_bandwidths[0] == bandwidths[row]
+
+    def test_zero_bandwidths_on_gathered_rows(self):
+        # 1026 blocks of 25 at the default block size: slices of two gathered
+        # rows, most of them with q = 0.
+        values = ar1(0.0, 25650, seed=4)
+        expected, bandwidths = serial_ensemble(values, 25, 40, 3)
+        assert bandwidths.count(0) > 20
+        results = bootstrap_lrd_tests(values, n_surrogates=40, seed=3)
+        for column, kind in enumerate(TEST_KINDS):
+            exceed = int(np.sum(expected[:, column] >= results[kind].statistic))
+            assert results[kind].p_value == (1.0 + exceed) / 41.0
 
     @pytest.mark.parametrize("n, block_size", [(2500, 1), (2047, 2)])
     def test_memory_stays_bounded(self, n, block_size):
@@ -326,7 +346,7 @@ class TestBlockKernel:
         # statistics for this seed.
         values = ar1(0.3, 60, seed=41)
         identity = lrd._block_orders(9, 200, 2)[:, 0] == 0
-        stats, _ = lrd._ensemble(values, 25, 200, 9)
+        stats, _ = lrd._ensemble(lrd._block_kernel(values, 25), 2, 200, 9)
         results = bootstrap_lrd_tests(values, n_surrogates=200, seed=9)
         for column, kind in enumerate(TEST_KINDS):
             exceed = identity.sum() + np.sum(stats[~identity, column] >= results[kind].statistic)
