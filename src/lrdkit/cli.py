@@ -189,9 +189,12 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def cmd_lrdtest(args) -> int:
+    # Every input is read before the first bootstrap, and every file is
+    # written after the last series succeeds, so a failing run writes nothing.
+    panel = [read_series_csv(path, "trends") for path in args.inputs]
     rows = []
-    for path in args.inputs:
-        series = read_series_csv(path, "trends")
+    fluctuation_files = {}
+    for series in panel:
         tests = bootstrap_lrd_tests(
             series,
             block_size=args.block_size,
@@ -201,11 +204,10 @@ def cmd_lrdtest(args) -> int:
         hurst = dfa_hurst(series)
         if args.fluctuation_out is not None:
             fluct = hurst.fluctuation
-            fluct_rows = [
+            fluctuation_files[f"{args.fluctuation_out}_{series.label}.csv"] = _csv_text([
                 {"scale": int(s), "fluctuation": v}
                 for s, v in zip(fluct.scales, fluct.values)
-            ]
-            _emit(_csv_text(fluct_rows), f"{args.fluctuation_out}_{series.label}.csv")
+            ])
         rescaled_range = tests["rescaled_range"]
         rescaled_variance = tests["rescaled_variance"]
         rows.append(
@@ -221,6 +223,8 @@ def cmd_lrdtest(args) -> int:
             }
         )
 
+    for path, text in fluctuation_files.items():
+        _emit(text, path)
     if args.format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,

@@ -175,11 +175,14 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
         rows = [p - p.mean(axis=1, keepdims=True) for p in rows]
         sums = [np.pad(p, ((0, 0), (1, 0))).cumsum(axis=1) for p in rows]
     moments = np.empty((3, px.shape[0], grid.size))
-    for j, s in enumerate(grid):
-        parts = [_detrended_parts(p, c, int(s)) for p, c in zip(rows, sums)]
-        x, y = parts[0], parts[-1]
-        sxx = _moment(x, x)
-        moments[:, :, j] = (sxx, sxx, sxx) if y is x else (_moment(x, y), sxx, _moment(y, y))
+    # Overflowing sums (values near 1e300) leave inf - inf = NaN moments,
+    # which the callers treat as degenerate; numpy need not warn about them.
+    with np.errstate(invalid="ignore"):
+        for j, s in enumerate(grid):
+            parts = [_detrended_parts(p, c, int(s)) for p, c in zip(rows, sums)]
+            x, y = parts[0], parts[-1]
+            sxx = _moment(x, x)
+            moments[:, :, j] = (sxx, sxx, sxx) if y is x else (_moment(x, y), sxx, _moment(y, y))
     return moments
 
 

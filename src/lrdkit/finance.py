@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,8 @@ __all__ = [
 TRENDS_HEADER = ("date", "value")
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
 _GK_COEFF = 2.0 * math.log(2.0) - 1.0
+# The bytes of a date and its comma; a 0 stands for any ASCII digit.
+_DATE_SHAPE = np.frombuffer(b"0000-00-00,", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,15 @@ class OhlcvBar:
     volume: float
 
     def __post_init__(self) -> None:
+        # Comparison chains, false on NaN, pass every valid bar; the checks
+        # below name what an invalid bar violates.
+        low, high = self.low, self.high
+        if (
+            0.0 < low <= self.open <= high < math.inf
+            and low <= self.close <= high
+            and 0.0 <= self.volume < math.inf
+        ):
+            return
         prices = (self.open, self.high, self.low, self.close)
         if not all(math.isfinite(p) and p > 0.0 for p in prices):
             raise InvalidBarError(f"{self.date}: prices must be positive and finite")
@@ -252,6 +264,126 @@ def _parse_float(text: str, where: str, column: str) -> float:
     return value
 
 
+def _parse_columns(body: str, expected: tuple[str, ...]):
+    """The dates and float columns of the data lines of a plain file, or
+    None if any line would fail a check of the row loop."""
+    body = body.removesuffix("\n")
+    width = len(expected)
+    if not body:
+        return None
+    # Commas and newlines are single bytes in UTF-8, so counting them on the
+    # encoded text counts the fields of every line.
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    if (
+        np.any(np.diff(commas, prepend=0) != width - 1)
+        or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+    ):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    date_texts = fields[::width]
+    # The dates joined by commas fill rows of 11 bytes ending in a comma
+    # exactly when each has 10 characters. A non-ASCII character puts bytes
+    # above 127 into a digit, dash or comma slot. fromisoformat then checks
+    # the calendar.
+    shape = (",".join(date_texts) + ",").encode("utf-8")
+    if len(shape) != _DATE_SHAPE.size * len(date_texts):
+        return None
+    grid = np.frombuffer(shape, dtype=np.uint8).reshape(-1, _DATE_SHAPE.size)
+    digit = _DATE_SHAPE == ord("0")
+    if not np.all(np.where(digit, grid - _DATE_SHAPE < 10, grid == _DATE_SHAPE)):
+        return None
+    try:
+        dates = list(map(dt.date.fromisoformat, date_texts))
+        columns = [np.array(fields[i::width], dtype=float) for i in range(1, width)]
+    except ValueError:
+        return None
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    if np.any(np.diff(ordinals) <= 0) or not np.isfinite(columns).all():
+        return None
+    if expected == OHLCV_HEADER:
+        open_, high, low, close, volume = columns
+        # A positive low bounds the other three prices away from zero.
+        if not (
+            np.all(low > 0.0)
+            and np.all(low <= np.minimum(open_, close))
+            and np.all(high >= np.maximum(open_, close))
+            and np.all(volume >= 0.0)
+        ):
+            return None
+    return dates, columns
+
+
+def _read_columns(text: str, expected: tuple[str, ...]):
+    """Column-wise parse of a plain file, or None to leave it to the row loop.
+
+    A file is plain when it holds no quote, carriage return or NUL and no
+    line longer than the csv field size limit: splitting it on newlines and
+    commas then gives exactly the rows ``csv.reader`` gives.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if (
+        len(header) > csv.field_size_limit()
+        or tuple(h.strip().lower() for h in header.split(",")) != expected
+    ):
+        return None
+    parsed = _parse_columns(body, expected)
+    if parsed is None:
+        # Blank lines, of commas and whitespace only, are skipped.
+        lines = body.split("\n")
+        kept = [line for line in lines if line.replace(",", "").strip()]
+        if len(kept) < len(lines):
+            parsed = _parse_columns("\n".join(kept), expected)
+    return parsed
+
+
+def _read_rows(text: str, expected: tuple[str, ...], path: Path):
+    """Row-by-row parse with ``csv.reader`` into dates and float columns,
+    reporting the first violation with its row number."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidInputError(f"{path}: empty file") from None
+    normalized = tuple(h.strip().lower() for h in header)
+    if normalized != expected:
+        raise InvalidInputError(
+            f"{path}:1: expected header {','.join(expected)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    dates, rows = [], []
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(not field.strip() for field in row):
+            continue
+        where = f"{path}:{row_number}"
+        if len(row) != len(expected):
+            raise InvalidInputError(
+                f"{where}: expected {len(expected)} fields, got {len(row)}"
+            )
+        date = _parse_date(row[0], where)
+        if dates and date <= dates[-1]:
+            raise InvalidInputError(
+                f"{where}: date {date} does not increase past {dates[-1]}"
+            )
+        fields = [
+            _parse_float(row[i], where, name)
+            for i, name in enumerate(expected[1:], start=1)
+        ]
+        if expected == OHLCV_HEADER:
+            try:
+                OhlcvBar(date, *fields)
+            except InvalidBarError as error:
+                raise InvalidBarError(f"{where}: {error}") from None
+        dates.append(date)
+        rows.append(fields)
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows")
+    return dates, [np.array(column) for column in zip(*rows)]
+
+
 def read_series_csv(path, schema: str):
     """Read a CSV file in one of the two supported schemas.
 
@@ -263,60 +395,27 @@ def read_series_csv(path, schema: str):
     ``schema="ohlcv"`` expects ``date,open,high,low,close,volume`` and
     returns a list of :class:`OhlcvBar`.
 
-    Violations are reported with the offending row number.
+    Violations are reported with the offending row number. Plain files are
+    parsed a column at a time; any other file, and any file that fails a
+    check, goes through the ``csv.reader`` row loop, which accepts exactly
+    the same files and reports the first violation.
     """
     if schema not in ("trends", "ohlcv"):
         raise InvalidInputError(f"unknown schema {schema!r}")
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InvalidInputError(f"{path}: empty file") from None
-            expected = TRENDS_HEADER if schema == "trends" else OHLCV_HEADER
-            normalized = tuple(h.strip().lower() for h in header)
-            if normalized != expected:
-                raise InvalidInputError(
-                    f"{path}:1: expected header {','.join(expected)!r}, "
-                    f"got {','.join(header)!r}"
-                )
-            rows = []
-            previous_date: dt.date | None = None
-            for row_number, row in enumerate(reader, start=2):
-                if not row or all(not field.strip() for field in row):
-                    continue
-                where = f"{path}:{row_number}"
-                if len(row) != len(expected):
-                    raise InvalidInputError(
-                        f"{where}: expected {len(expected)} fields, got {len(row)}"
-                    )
-                date = _parse_date(row[0], where)
-                if previous_date is not None and date <= previous_date:
-                    raise InvalidInputError(
-                        f"{where}: date {date} does not increase past {previous_date}"
-                    )
-                previous_date = date
-                if schema == "trends":
-                    rows.append((date, _parse_float(row[1], where, "value")))
-                else:
-                    fields = [
-                        _parse_float(row[i], where, name)
-                        for i, name in enumerate(expected[1:], start=1)
-                    ]
-                    try:
-                        rows.append(OhlcvBar(date, *fields))
-                    except InvalidBarError as error:
-                        raise InvalidBarError(f"{where}: {error}") from None
+        # Decoded without newline translation, as csv.reader needs it.
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
-    if not rows:
-        raise InvalidInputError(f"{path}: no data rows")
+    expected = TRENDS_HEADER if schema == "trends" else OHLCV_HEADER
+    try:
+        dates, columns = _read_columns(text, expected) or _read_rows(text, expected, path)
+    except csv.Error as error:
+        raise InvalidInputError(f"{path}: {error}") from None
     if schema == "trends":
-        dates, values = zip(*rows)
-        return TimeSeries(np.asarray(values), label=path.stem, dates=dates)
-    return rows
+        return TimeSeries(columns[0], label=path.stem, dates=dates)
+    return list(map(OhlcvBar, dates, *(column.tolist() for column in columns)))
 
 
 def series_csv_text(series: TimeSeries) -> str:

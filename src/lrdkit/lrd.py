@@ -90,10 +90,12 @@ def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
     permutation drawn from child i of ``SeedSequence(seed)``.
 
     Only the last key is kept: a panel of equal-length series tested with
-    one seed draws the orders once.
+    one seed draws the orders once. They are int16 below 32768 blocks, half
+    the size of int32; ``slots`` widens each slice it evaluates.
     """
     children = np.random.SeedSequence(seed).spawn(n_surrogates)
-    orders = np.empty((n_surrogates, n_blocks), dtype=np.int32)
+    dtype = np.int16 if n_blocks < 32768 else np.int32
+    orders = np.empty((n_surrogates, n_blocks), dtype=dtype)
     for row, child in zip(orders, children):
         row[:] = np.random.default_rng(child).permutation(n_blocks)
     orders.flags.writeable = False

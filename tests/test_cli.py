@@ -2,11 +2,12 @@ import datetime
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lrdkit.cli import _align_by_date
+from lrdkit.cli import _align_by_date, main
 from lrdkit.errors import ToolkitError
 from lrdkit.finance import read_series_csv
 from lrdkit.series import TimeSeries
@@ -193,8 +194,54 @@ class TestLrdtest:
         assert result.returncode == 1
         assert "error" in result.stderr
 
+    @pytest.mark.parametrize("bad, message", [
+        ("unreadable", "bad.csv:2: non-numeric value field 'oops'"),
+        ("overflowing", "variance"),
+    ])
+    def test_failing_input_writes_nothing(self, noise_csv, tmp_path, bad, message):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        text = noise_csv.read_text()
+        (inputs / "na.csv").write_text(text)
+        (inputs / "nb.csv").write_text(text)
+        if bad == "unreadable":
+            (inputs / "bad.csv").write_text("date,value\n2004-01-01,oops\n")
+        else:
+            (inputs / "bad.csv").write_text("date,value\n" + "".join(
+                f"{datetime.date(2010, 1, 1) + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e308\n"
+                for i in range(300)
+            ))
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run_cli(
+            "lrdtest", *(str(inputs / name) for name in ("na.csv", "nb.csv", "bad.csv")),
+            "--surrogates", "100",
+            "--fluctuation-out", str(out / "fl"),
+            "--out", str(out / "o.json"),
+        )
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert list(out.iterdir()) == []
+
 
 class TestXcorr:
+    def test_overflowing_series_fails_without_runtime_warnings(self, tmp_path, capsys):
+        start = datetime.date(2010, 1, 1)
+        huge, plain = tmp_path / "huge.csv", tmp_path / "plain.csv"
+        huge.write_text("date,value\n" + "".join(
+            f"{start + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e300\n"
+            for i in range(300)
+        ))
+        plain.write_text("date,value\n" + "".join(
+            f"{start + datetime.timedelta(days=i)},{i * 7 % 13}\n" for i in range(300)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["xcorr", str(huge), str(plain), "--surrogates", "100"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: every grid point is degenerate\n"
+
     def test_json_document_both_methods(self, noise_csv, tmp_path):
         other = write_noise(tmp_path / "other.csv", seed="2")
         result = run_cli(

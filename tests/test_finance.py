@@ -68,6 +68,13 @@ class TestOhlcvBar:
         with pytest.raises(InvalidBarError):
             make_bar(c=math.inf)
 
+    @pytest.mark.parametrize("field", ["o", "h", "low", "c", "v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        message = "volume must be nonnegative" if field == "v" else "positive and finite"
+        with pytest.raises(InvalidBarError, match=message):
+            make_bar(**{field: value})
+
 
 class TestTrendsSegment:
     def test_span_must_match_values(self):

@@ -270,6 +270,14 @@ class TestChunkedEnsemble:
         children = np.random.SeedSequence(5).spawn(10)
         assert np.array_equal(first, [np.random.default_rng(c).permutation(7) for c in children])
 
+    @pytest.mark.parametrize("n_blocks, dtype", [(100, np.int16), (32767, np.int16), (32768, np.int32)])
+    def test_block_orders_are_int16_below_32768_blocks(self, n_blocks, dtype):
+        orders = lrd._block_orders(11, 3, n_blocks)
+        assert orders.dtype == dtype
+        children = np.random.SeedSequence(11).spawn(3)
+        wide = np.array([np.random.default_rng(c).permutation(n_blocks) for c in children], dtype=np.int32)
+        assert np.array_equal(orders, wide)
+
 
 def row_kernel(values, block_size, orders):
     """What the block kernel returns, one surrogate at a time through
