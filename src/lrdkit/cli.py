@@ -8,7 +8,8 @@ runs the long-range dependence tests plus the Hurst estimate, and
 
 Defaults can come from a ``key = value`` config file; explicit flags win.
 Exit codes: 0 on success, 1 on an analysis or I/O error, 2 on bad usage.
-All output is deterministic for a fixed seed, independent of xcorr's --jobs.
+All output is deterministic for a fixed seed, whatever the number of CPUs
+that xcorr's surrogate ensemble runs on.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ OPTIONS = {
     "seed": Option(_seed_argument, 0, "random seed (default 0)"),
     "surrogates": Option(_positive_int, 1000, "surrogates per test (default 1000)"),
     "block_size": Option(_positive_int, 25, "bootstrap block length (default 25)"),
-    "jobs": Option(_positive_int, 1, "worker threads (default 1)"),
     "level": Option(_level_argument, 0.10, "significance level (default 0.10)"),
     "grid": Option(_grid_argument, None, "scales as start:stop:step"),
     "format": Option(_format_argument, "json", "csv or json (default json)"),
@@ -192,6 +192,11 @@ def cmd_lrdtest(args) -> int:
     # Every input is read before the first bootstrap, and every file is
     # written after the last series succeeds, so a failing run writes nothing.
     panel = [read_series_csv(path, "trends") for path in args.inputs]
+    if args.fluctuation_out is not None:
+        labels = [series.label for series in panel]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ToolkitError(f"inputs share the label {label!r}; their fluctuation files collide")
     rows = []
     fluctuation_files = {}
     for series in panel:
@@ -241,12 +246,6 @@ def cmd_lrdtest(args) -> int:
 
 
 def _align_by_date(x: TimeSeries, y: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
-    if x.dates is None or y.dates is None:
-        if len(x) != len(y):
-            raise ToolkitError(
-                "series without dates must have equal lengths to align"
-            )
-        return x, y
     common = sorted(set(x.dates) & set(y.dates))
     if len(common) < 2:
         raise ToolkitError("series share fewer than 2 dates")
@@ -288,9 +287,7 @@ def cmd_xcorr(args) -> int:
     y_series = read_series_csv(args.y, "trends")
     x_aligned, y_aligned = _align_by_date(x_series, y_series)
 
-    surrogate_config = SurrogateConfig(
-        n_surrogates=args.surrogates, seed=args.seed, n_jobs=args.jobs
-    )
+    surrogate_config = SurrogateConfig(n_surrogates=args.surrogates, seed=args.seed)
     reports = {}
     summaries = {}
     for method in methods:
@@ -445,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     xcorr.add_argument("x", help="first date,value CSV file")
     xcorr.add_argument("y", help="second date,value CSV file")
     xcorr.add_argument("--method", choices=("dcca", "dmca", "both"), default="both")
-    _add_options(
-        xcorr, cmd_xcorr, "grid", "seed", "surrogates", "level", "jobs", "format", "out"
-    )
+    _add_options(xcorr, cmd_xcorr, "grid", "seed", "surrogates", "level", "format", "out")
 
     volatility = sub.add_parser(
         "volatility", help="Garman-Klass log-variance and log-volume series"

@@ -15,6 +15,7 @@ ensemble is reproducible no matter how the loop is scheduled.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,15 +51,12 @@ class SurrogateConfig:
 
     n_surrogates: int = 1000
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_surrogates < MIN_SURROGATES:
             raise InvalidInputError(
                 f"need at least {MIN_SURROGATES} surrogates for p-values, got {self.n_surrogates}"
             )
-        if self.n_jobs < 1:
-            raise InvalidInputError("n_jobs must be positive")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 
@@ -84,6 +82,13 @@ def _phase_randomize(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         rotation[..., -1] = np.where(phases[..., -1] < np.pi, 1.0, -1.0)
     return np.fft.irfft(np.fft.rfft(values, axis=-1) * rotation, n, axis=-1)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +136,10 @@ def xcorr_significance(
     to the observed correlogram. A grid point where the observed
     coefficient is degenerate gets p = 1 and a flag instead of an error;
     degenerate surrogate values count as exceedances, which can only
-    enlarge a p-value. Pairs are evaluated ``CHUNK_SIZE`` at a time, and
-    pair i always draws from child i of ``SeedSequence(config.seed)``, so
-    neither the chunks nor ``config.n_jobs`` change the result.
+    enlarge a p-value. Pairs are evaluated ``CHUNK_SIZE`` at a time on a
+    thread pool with one worker per CPU this process may run on. Pair i
+    always draws from child i of ``SeedSequence(config.seed)``, so neither
+    the chunks nor the worker count change the result.
     """
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
@@ -155,12 +161,8 @@ def xcorr_significance(
         gx, phx, gy, phy = (np.stack(d) for d in zip(*draws))
         return _coefficient_curve(_aaft_values(xv, gx, phx), _aaft_values(yv, gy, phy), method, grid)
 
-    starts = range(0, config.n_surrogates, CHUNK_SIZE)
-    if config.n_jobs == 1:
-        rows = [chunk_rows(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-            rows = list(pool.map(chunk_rows, starts))
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+        rows = list(pool.map(chunk_rows, range(0, config.n_surrogates, CHUNK_SIZE)))
     surrogate_rho = np.vstack(rows)
 
     with np.errstate(invalid="ignore"):

@@ -6,6 +6,7 @@ scoreboard even when a criterion fails.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -252,12 +253,20 @@ def test_criterion_7_exact_invariants(capsys):
     assert worst_excess <= 1e-12
 
 
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_criterion_8_end_to_end_determinism(capsys, tmp_path):
-    def run(*argv):
+    def run(*argv, one_cpu=False):
+        # The pinned run gives xcorr a one-worker pool; platforms without
+        # sched_setaffinity run it on every CPU instead.
+        pin = one_cpu and hasattr(os, "sched_setaffinity")
         result = subprocess.run(
             [sys.executable, "-m", "lrdkit", *argv],
             capture_output=True,
             text=True,
+            preexec_fn=_pin_to_one_cpu if pin else None,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout
@@ -280,7 +289,7 @@ def test_criterion_8_end_to_end_determinism(capsys, tmp_path):
     xcorr_runs = [
         run(*xcorr_args),
         run(*xcorr_args),
-        run(*xcorr_args, "--jobs", "4"),
+        run(*xcorr_args, one_cpu=True),
     ]
     xcorr_ok = len(set(xcorr_runs)) == 1
 

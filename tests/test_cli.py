@@ -7,10 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lrdkit.cli import _align_by_date, main
-from lrdkit.errors import ToolkitError
+from lrdkit.cli import main
 from lrdkit.finance import read_series_csv
-from lrdkit.series import TimeSeries
 
 
 def run_cli(*argv):
@@ -221,6 +219,24 @@ class TestLrdtest:
         )
         assert result.returncode == 1
         assert message in result.stderr
+        assert list(out.iterdir()) == []
+
+    def test_shared_label_with_fluctuation_out_writes_nothing(self, noise_csv, tmp_path):
+        # Both inputs are labelled "x", so both would write fl_x.csv.
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.csv").write_text(noise_csv.read_text())
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run_cli(
+            "lrdtest", str(tmp_path / "a" / "x.csv"), str(tmp_path / "b" / "x.csv"),
+            "--surrogates", "100",
+            "--fluctuation-out", str(out / "fl"),
+            "--out", str(out / "o.json"),
+        )
+        assert result.returncode == 1
+        assert "'x'" in result.stderr
+        assert "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
 
 
@@ -452,7 +468,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "setting",
         [
-            "surrogates = 0", "seed = -1", "jobs = 0", "level = 1.5", "grid = 10:5:1",
+            "surrogates = 0", "seed = -1", "level = 1.5", "grid = 10:5:1",
             "format = xml", "block_size = 0", "overlap_days = 0", "start_date = 2004-13-01",
             "sigma = wide", "floor = abc",
         ],
@@ -485,12 +501,15 @@ class TestConfigFile:
         assert via_flag.stdout == via_config.stdout
 
     def test_lrdtest_has_no_jobs(self, noise_csv, tmp_path):
+        # Neither surrogate loop takes a worker count: lrdtest runs serially
+        # and xcorr sizes its pool from the CPUs it may run on.
         config = tmp_path / "run.conf"
         config.write_text("jobs = 2\n")
-        assert run_cli("lrdtest", str(noise_csv), "--jobs", "2").returncode == 2
-        result = run_cli("lrdtest", str(noise_csv), "--config", str(config))
-        assert result.returncode == 2
-        assert "unknown key" in result.stderr
+        for argv in (["lrdtest", str(noise_csv)], ["xcorr", str(noise_csv), str(noise_csv)]):
+            assert run_cli(*argv, "--jobs", "2").returncode == 2
+            result = run_cli(*argv, "--config", str(config))
+            assert result.returncode == 2
+            assert "unknown key" in result.stderr
 
     def test_non_utf8_config_is_a_usage_error(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"
@@ -506,16 +525,6 @@ class TestConfigFile:
         result = run_cli("lrdtest", str(noise_csv), "--config", str(config))
         assert result.returncode == 2
         assert "unknown key" in result.stderr
-
-
-class TestDateAlignment:
-    def test_dateless_passthrough_needs_equal_lengths(self):
-        x = TimeSeries(np.arange(10.0))
-        y = TimeSeries(np.arange(10.0) * 2.0)
-        ax, ay = _align_by_date(x, y)
-        assert ax is x and ay is y
-        with pytest.raises(ToolkitError):
-            _align_by_date(x, TimeSeries(np.arange(8.0)))
 
 
 class TestNegativeSeed:

@@ -1,9 +1,11 @@
 import datetime
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import lrdkit as lk
+from lrdkit import surrogates
 from lrdkit.errors import InvalidInputError
 from lrdkit.series import TimeSeries, autocovariance
 from lrdkit.surrogates import (
@@ -98,14 +100,30 @@ class TestXcorrSignificance:
         assert np.all(result.p_values >= 1.0 / 101.0)
         assert np.all(result.p_values <= 1.0)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_pool_has_one_worker_per_available_cpu(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 256, seed=8)
+        monkeypatch.setattr(surrogates, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(surrogates.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        xcorr_significance(x, y, "dcca", [10], SurrogateConfig(n_surrogates=100))
+        assert sizes == [3]
+        monkeypatch.delattr(surrogates.os, "sched_getaffinity")
+        monkeypatch.setattr(surrogates.os, "cpu_count", lambda: None)
+        assert surrogates._cpu_count() == 1
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
         x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 512, seed=8)
-        serial = xcorr_significance(
-            x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100, seed=5, n_jobs=1)
-        )
-        threaded = xcorr_significance(
-            x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100, seed=5, n_jobs=4)
-        )
+        config = SurrogateConfig(n_surrogates=100, seed=5)
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: 1)
+        serial = xcorr_significance(x, y, "dcca", [10, 30], config)
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: 4)
+        threaded = xcorr_significance(x, y, "dcca", [10, 30], config)
         assert np.array_equal(serial.rho, threaded.rho)
         assert np.array_equal(serial.p_values, threaded.p_values)
         assert np.array_equal(serial.surrogate_rho, threaded.surrogate_rho)
@@ -200,12 +218,9 @@ class TestSurrogateConfig:
         config = SurrogateConfig()
         assert config.n_surrogates == 1000
         assert config.seed == 0
-        assert config.n_jobs == 1
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             SurrogateConfig(n_surrogates=99)
-        with pytest.raises(InvalidInputError):
-            SurrogateConfig(n_jobs=0)
         with pytest.raises(InvalidInputError):
             SurrogateConfig(seed=-1)
