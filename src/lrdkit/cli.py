@@ -9,15 +9,19 @@ runs the long-range dependence tests plus the Hurst estimate, and
 Defaults can come from a ``key = value`` config file; explicit flags win.
 Exit codes: 0 on success, 1 on an analysis or I/O error, 2 on bad usage.
 All output is deterministic for a fixed seed, whatever the number of CPUs
-that xcorr's surrogate ensemble runs on.
+that xcorr's surrogate ensemble runs on, and ``xcorr --method both`` runs
+both methods on one ensemble. Files are renamed into place only once every
+output of a run is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,7 +43,7 @@ from .finance import (
 )
 from .lrd import bootstrap_lrd_tests
 from .series import TimeSeries
-from .surrogates import MIN_SURROGATES, SurrogateConfig, average_coefficient, xcorr_significance
+from .surrogates import MIN_SURROGATES, SurrogateConfig, average_coefficient, ensemble_significance
 from .synth import FgnSpec, generate_fgn
 
 __all__ = ["main", "build_parser"]
@@ -167,11 +171,39 @@ def _resolve_options(args) -> None:
         setattr(args, key, value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(outputs: dict) -> None:
+    """Write every output of a run: ``{path: text}``, where ``None`` or
+    ``"-"`` is stdout and a text may also be a function that writes a file
+    to the path it is given.
+
+    Each file is written to a temp file beside its target, and the temp
+    files are renamed into place only once all are written. A failure
+    deletes the temp files not yet renamed, so a run that fails before its
+    first rename leaves no output. Stdout is written last.
+    """
+    staged = {}
+    try:
+        for path, text in outputs.items():
+            if path in (None, "-"):
+                continue
+            staged[path] = temp = f"{path}.{os.getpid()}.tmp"
+            try:
+                if callable(text):
+                    text(temp)
+                else:
+                    Path(temp).write_text(text, encoding="utf-8")
+            except OSError as error:
+                raise ToolkitError(f"cannot write {path}: {error.strerror or error}") from None
+        for path, temp in staged.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    for path, text in outputs.items():
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _json_document(document: dict) -> str:
@@ -228,8 +260,6 @@ def cmd_lrdtest(args) -> int:
             }
         )
 
-    for path, text in fluctuation_files.items():
-        _emit(text, path)
     if args.format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
@@ -239,9 +269,10 @@ def cmd_lrdtest(args) -> int:
             "block_size": args.block_size,
             "results": rows,
         }
-        _emit(_json_document(document), args.out)
+        report = _json_document(document)
     else:
-        _emit(_csv_text(rows), args.out)
+        report = _csv_text(rows)
+    _emit({**fluctuation_files, args.out: report})
     return 0
 
 
@@ -287,13 +318,12 @@ def cmd_xcorr(args) -> int:
     y_series = read_series_csv(args.y, "trends")
     x_aligned, y_aligned = _align_by_date(x_series, y_series)
 
+    grids = {method: args.grid for method in methods}
     surrogate_config = SurrogateConfig(n_surrogates=args.surrogates, seed=args.seed)
+    correlograms = ensemble_significance(x_aligned, y_aligned, grids, surrogate_config)
     reports = {}
     summaries = {}
-    for method in methods:
-        correlogram = xcorr_significance(
-            x_aligned, y_aligned, method, scales=args.grid, config=surrogate_config
-        )
+    for method, correlogram in correlograms.items():
         summary = average_coefficient(correlogram)
         masked = np.where(correlogram.p_values < args.level, correlogram.rho, 0.0)
         reports[method] = {
@@ -322,7 +352,7 @@ def cmd_xcorr(args) -> int:
             "results": reports,
             "sign": _sign_label(summaries, args.level),
         }
-        _emit(_json_document(document), args.out)
+        _emit({args.out: _json_document(document)})
     else:
         csv_rows = [
             {"method": method, "scale": scale, "rho": rho, "p_value": p_value, "rho_masked": masked}
@@ -334,7 +364,7 @@ def cmd_xcorr(args) -> int:
                 reports[method]["rho_masked"],
             )
         ]
-        _emit(_csv_text(csv_rows), args.out)
+        _emit({args.out: _csv_text(csv_rows)})
     return 0
 
 
@@ -360,8 +390,6 @@ def cmd_volatility(args) -> int:
 
     variance_path = f"{args.out}_log_variance.csv"
     volume_path = f"{args.out}_log_volume.csv"
-    write_series_csv(log_variance, variance_path)
-    write_series_csv(log_volume, volume_path)
 
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -378,7 +406,11 @@ def cmd_volatility(args) -> int:
             "log_volume": log_volume.meta["floor"],
         },
     }
-    sys.stdout.write(_json_document(document))
+    _emit({
+        variance_path: functools.partial(write_series_csv, log_variance),
+        volume_path: functools.partial(write_series_csv, log_volume),
+        None: _json_document(document),
+    })
     return 0
 
 
@@ -388,7 +420,7 @@ def cmd_chain(args) -> int:
         for path in args.segments
     ]
     chained = chain_segments(segments, args.overlap_days)
-    _emit(series_csv_text(chained), args.out)
+    _emit({args.out: series_csv_text(chained)})
     return 0
 
 
@@ -401,7 +433,7 @@ def cmd_synth(args) -> int:
         ) from None
     spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
-    _emit(series_csv_text(TimeSeries(series.values, dates=dates)), args.out)
+    _emit({args.out: series_csv_text(TimeSeries(series.values, dates=dates))})
     return 0
 
 

@@ -25,13 +25,14 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .series import TimeSeries, as_values
-from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curve, _validate_grid, _validate_pair
+from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _validate_grid, _validate_pair
 
 __all__ = [
     "SurrogateConfig",
     "AverageCoefficient",
     "aaft_surrogate",
     "xcorr_significance",
+    "ensemble_significance",
     "average_coefficient",
 ]
 
@@ -141,44 +142,46 @@ def xcorr_significance(
     always draws from child i of ``SeedSequence(config.seed)``, so neither
     the chunks nor the worker count change the result.
     """
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
+    return ensemble_significance(x, y, {method: scales}, config)[method]
+
+
+def ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = None) -> dict[str, ScaleCorrelogram]:
+    """:func:`xcorr_significance` for each ``method: scales`` of ``grids``
+    on one ensemble: each surrogate pair is built once and every method's
+    curve is evaluated on it, so each result equals the one-method call."""
+    for method in grids:
+        if method not in METHODS:
+            raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     if config is None:
         config = SurrogateConfig()
     xv, yv = _validate_pair(x, y)
-    grid = _validate_grid(scales, method, xv.size)
-    rho_observed = _coefficient_curve(xv[None, :], yv[None, :], method, grid)[0]
-    flagged = np.isnan(rho_observed)
-    if flagged.any():
-        where = ", ".join(str(int(s)) for s in grid[flagged])
-        warnings.warn(f"degenerate scales forced p = 1 at: {where}")
-
+    grids = {method: _validate_grid(scales, method, xv.size) for method, scales in grids.items()}
+    observed = [rho for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
     children = np.random.SeedSequence(config.seed).spawn(config.n_surrogates)
 
-    def chunk_rows(start: int) -> np.ndarray:
+    def chunk_curves(start: int) -> list[np.ndarray]:
         rngs = map(np.random.default_rng, children[start: start + CHUNK_SIZE])
         draws = [_draw(rng, xv.size) + _draw(rng, yv.size) for rng in rngs]
         gx, phx, gy, phy = (np.stack(d) for d in zip(*draws))
-        return _coefficient_curve(_aaft_values(xv, gx, phx), _aaft_values(yv, gy, phy), method, grid)
+        return _coefficient_curves(_aaft_values(xv, gx, phx), _aaft_values(yv, gy, phy), grids)
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
-        rows = list(pool.map(chunk_rows, range(0, config.n_surrogates, CHUNK_SIZE)))
-    surrogate_rho = np.vstack(rows)
+        chunks = list(pool.map(chunk_curves, range(0, config.n_surrogates, CHUNK_SIZE)))
 
-    with np.errstate(invalid="ignore"):
-        exceed = np.abs(surrogate_rho) >= np.abs(rho_observed)[None, :]
-    exceed |= np.isnan(surrogate_rho)
-    counts = exceed.sum(axis=0)
-    p_values = (1.0 + counts) / (1.0 + config.n_surrogates)
-    p_values[flagged] = 1.0
-    return ScaleCorrelogram(
-        method=method,
-        scales=grid,
-        rho=rho_observed,
-        p_values=p_values,
-        flagged=flagged,
-        surrogate_rho=surrogate_rho,
-    )
+    results = {}
+    for (method, grid), rho, rows in zip(grids.items(), observed, zip(*chunks)):
+        flagged = np.isnan(rho)
+        if flagged.any():
+            where = ", ".join(str(int(s)) for s in grid[flagged])
+            warnings.warn(f"degenerate scales forced p = 1 at: {where}")
+        surrogate_rho = np.vstack(rows)
+        with np.errstate(invalid="ignore"):
+            exceed = np.abs(surrogate_rho) >= np.abs(rho)[None, :]
+        exceed |= np.isnan(surrogate_rho)
+        p_values = (1.0 + exceed.sum(axis=0)) / (1.0 + config.n_surrogates)
+        p_values[flagged] = 1.0
+        results[method] = ScaleCorrelogram(method, grid, rho, p_values, flagged, surrogate_rho)
+    return results
 
 
 def average_coefficient(correlogram: ScaleCorrelogram) -> AverageCoefficient:

@@ -88,7 +88,8 @@ def _coefficient(sxy, sxx, syy):
     """Correlation from detrended sums, NaN where a fluctuation vanishes."""
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = sxy / (np.sqrt(sxx) * np.sqrt(syy))
-    return np.where((sxx > 0.0) & (syy > 0.0), rho, np.nan)
+    # Rounding can carry an exactly (anti)correlated pair one ulp past ±1.
+    return np.where((sxx > 0.0) & (syy > 0.0), np.clip(rho, -1.0, 1.0), np.nan)
 
 
 def _at_scale(x, y, method: str, scale: int) -> tuple[float, float]:
@@ -145,10 +146,11 @@ def _validate_grid(scales, method: str, n: int) -> np.ndarray:
     return _check_grid(scales, n, _check_scale if method == "dcca" else _check_window)
 
 
-def _coefficient_curve(xv: np.ndarray, yv: np.ndarray, method: str, grid: np.ndarray) -> np.ndarray:
-    """Coefficients over a validated grid for each row of ``xv`` and ``yv``,
-    NaN at degenerate points."""
-    return _coefficient(*_detrended_moments(_profile_values(xv), _profile_values(yv), grid, method))
+def _coefficient_curves(xv: np.ndarray, yv: np.ndarray, grids: dict) -> list[np.ndarray]:
+    """Coefficients over each method's validated grid for each row of ``xv``
+    and ``yv``, NaN at degenerate points. The profiles are taken once."""
+    px, py = _profile_values(xv), _profile_values(yv)
+    return [_coefficient(*_detrended_moments(px, py, grid, method)) for method, grid in grids.items()]
 
 
 def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
@@ -170,7 +172,7 @@ def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     xv, yv = _validate_pair(x, y)
     grid = _validate_grid(scales, method, xv.size)
-    rho = _coefficient_curve(xv[None, :], yv[None, :], method, grid)[0]
+    (rho,) = _coefficient_curves(xv[None, :], yv[None, :], {method: grid})[0]
     bad = np.isnan(rho)
     if bad.any():
         where = ", ".join(str(int(s)) for s in grid[bad])

@@ -1,5 +1,6 @@
 import datetime
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -143,8 +144,13 @@ class TestLrdtest:
             "lrdtest", str(noise_csv),
             "--surrogates", "150",
             "--fluctuation-out", str(prefix),
+            "--out", str(tmp_path / "report.json"),
         )
         assert result.returncode == 0
+        assert result.stdout == ""
+        # Both files are renamed into place; no temp file is left.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fluct_noise.csv", "report.json"]
+        assert json.loads((tmp_path / "report.json").read_text())["command"] == "lrdtest"
         side_file = tmp_path / "fluct_noise.csv"
         lines = side_file.read_text().strip().split("\n")
         assert lines[0] == "scale,fluctuation"
@@ -221,6 +227,36 @@ class TestLrdtest:
         assert message in result.stderr
         assert list(out.iterdir()) == []
 
+    def test_failing_report_write_leaves_no_fluctuation_file(self, noise_csv, tmp_path):
+        result = run_cli(
+            "lrdtest", str(noise_csv),
+            "--surrogates", "100",
+            "--fluctuation-out", str(tmp_path / "fl"),
+            "--out", str(tmp_path / "missing_dir" / "report.json"),
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot write {tmp_path / 'missing_dir' / 'report.json'}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_rename_leaves_no_temp_file(self, noise_csv, tmp_path, monkeypatch, capsys):
+        replace = os.replace
+
+        def refuse_report(source, target):
+            if str(target).endswith("report.json"):
+                raise PermissionError(13, "Permission denied", str(target))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", refuse_report)
+        code = main([
+            "lrdtest", str(noise_csv),
+            "--surrogates", "100",
+            "--fluctuation-out", str(tmp_path / "fl"),
+            "--out", str(tmp_path / "report.json"),
+        ])
+        assert code == 1
+        assert "Permission denied" in capsys.readouterr().err
+        assert not [path for path in tmp_path.iterdir() if path.suffix == ".tmp"]
+
     def test_shared_label_with_fluctuation_out_writes_nothing(self, noise_csv, tmp_path):
         # Both inputs are labelled "x", so both would write fl_x.csv.
         for folder in ("a", "b"):
@@ -295,6 +331,20 @@ class TestXcorr:
         assert report["summary"]["significant"] is True
         assert document["sign"] == "+"
         assert report["rho_masked"] == report["rho"]
+
+    def test_identical_inputs_never_exceed_one(self, noise_csv):
+        # Rounding used to carry several of these coefficients one ulp past 1.
+        result = run_cli(
+            "xcorr", str(noise_csv), str(noise_csv),
+            "--surrogates", "100",
+            "--format", "csv",
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert {row[0] for row in rows} == {"dcca", "dmca"}
+        for method, scale, rho, p_value, masked in rows:
+            assert abs(float(rho)) <= 1.0, (method, scale, rho)
+            assert abs(float(masked)) <= 1.0, (method, scale, masked)
 
     def test_custom_grid_single_method(self, noise_csv, tmp_path):
         other = write_noise(tmp_path / "other.csv", seed="8")

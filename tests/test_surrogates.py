@@ -6,6 +6,7 @@ import pytest
 
 import lrdkit as lk
 from lrdkit import surrogates
+from lrdkit.cli import main
 from lrdkit.errors import InvalidInputError
 from lrdkit.series import TimeSeries, autocovariance
 from lrdkit.surrogates import (
@@ -15,6 +16,7 @@ from lrdkit.surrogates import (
     _phase_randomize,
     aaft_surrogate,
     average_coefficient,
+    ensemble_significance,
     xcorr_significance,
 )
 from lrdkit.xcorr import ScaleCorrelogram, scan_scales
@@ -127,6 +129,42 @@ class TestXcorrSignificance:
         assert np.array_equal(serial.rho, threaded.rho)
         assert np.array_equal(serial.p_values, threaded.p_values)
         assert np.array_equal(serial.surrogate_rho, threaded.surrogate_rho)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_ensemble_matches_single_method_calls(self, monkeypatch, cpus):
+        # 101 is not a multiple of the chunk size, so the last chunk is short.
+        assert 101 % CHUNK_SIZE != 0
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: cpus)
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=13)
+        config = SurrogateConfig(n_surrogates=101, seed=9)
+        grids = {"dcca": [10, 40, 70], "dmca": [11, 41, 71]}
+        shared = ensemble_significance(x, y, grids, config)
+        assert list(shared) == ["dcca", "dmca"]
+        for method, grid in grids.items():
+            alone = xcorr_significance(x, y, method, grid, config)
+            assert shared[method].method == method
+            for field in ("scales", "rho", "p_values", "flagged", "surrogate_rho"):
+                assert np.array_equal(getattr(shared[method], field), getattr(alone, field)), field
+
+    def test_both_methods_build_each_surrogate_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        aaft_values = surrogates._aaft_values
+
+        def counting_aaft(*args):
+            calls.append(args[1].shape[0])
+            return aaft_values(*args)
+
+        monkeypatch.setattr(surrogates, "_aaft_values", counting_aaft)
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=14)
+        dates = tuple(datetime.date(2010, 1, 1) + datetime.timedelta(days=i) for i in range(300))
+        lk.write_series_csv(TimeSeries(x.values, dates=dates), tmp_path / "x.csv")
+        lk.write_series_csv(TimeSeries(y.values, dates=dates), tmp_path / "y.csv")
+        code = main(["xcorr", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"),
+                     "--method", "both", "--surrogates", "101"])
+        assert code == 0, capsys.readouterr().err
+        chunks = -(-101 // CHUNK_SIZE)
+        assert len(calls) == 2 * chunks
+        assert sum(calls) == 2 * 101
 
     @pytest.mark.parametrize("method", ["dcca", "dmca"])
     def test_chunks_match_one_pair_at_a_time(self, method):
