@@ -58,7 +58,6 @@ from .surrogates import (
     SurrogateConfig,
     aaft_surrogate,
     average_coefficient,
-    ensemble_significance,
     xcorr_significance,
 )
 from .synth import (

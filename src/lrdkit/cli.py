@@ -43,7 +43,7 @@ from .finance import (
 )
 from .lrd import bootstrap_lrd_tests
 from .series import TimeSeries
-from .surrogates import MIN_SURROGATES, SurrogateConfig, average_coefficient, ensemble_significance
+from .surrogates import MIN_SURROGATES, SurrogateConfig, _ensemble_significance, average_coefficient
 from .synth import FgnSpec, generate_fgn
 
 __all__ = ["main", "build_parser"]
@@ -176,34 +176,53 @@ def _emit(outputs: dict) -> None:
     ``"-"`` is stdout and a text may also be a function that writes a file
     to the path it is given.
 
-    Each file is written to a temp file beside its target, and the temp
-    files are renamed into place only once all are written. A failure
-    deletes the temp files not yet renamed, so a run that fails before its
-    first rename leaves no output. Stdout is written last.
+    A target that is missing or a regular file is written to a temp file
+    beside the file a symlink resolves to, and the temp files are renamed
+    into place only once all are written. A failure deletes the temp files
+    not yet renamed, so a run that fails before its first rename leaves no
+    output. Any other target, such as a device, a FIFO or ``/dev/stdout``,
+    is written directly after the renames, and stdout is written last.
     """
-    staged = {}
+    staged, direct = {}, {}
     try:
         for path, text in outputs.items():
             if path in (None, "-"):
                 continue
-            staged[path] = temp = f"{path}.{os.getpid()}.tmp"
-            try:
-                if callable(text):
-                    text(temp)
-                else:
-                    Path(temp).write_text(text, encoding="utf-8")
-            except OSError as error:
-                raise ToolkitError(f"cannot write {path}: {error.strerror or error}") from None
-        for path, temp in staged.items():
-            os.replace(temp, path)
+            if os.path.isdir(path):
+                raise ToolkitError(f"cannot write {path}: Is a directory")
+            # A /dev path such as /dev/stdout may resolve to a file the caller
+            # holds open, which must be written in place, not replaced.
+            if os.path.exists(path) and not os.path.isfile(path) or path.startswith("/dev/"):
+                direct[path] = text
+                continue
+            real = os.path.realpath(path)
+            staged[real] = temp = f"{real}.{os.getpid()}.tmp"
+            _write(temp, text, path)
+            if os.path.isfile(real):
+                os.chmod(temp, os.stat(real).st_mode & 0o7777)
+        for real, temp in staged.items():
+            os.replace(temp, real)
     except BaseException:
         for temp in staged.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
         raise
+    for path, text in direct.items():
+        _write(path, text, path)
     for path, text in outputs.items():
         if path in (None, "-"):
             sys.stdout.write(text)
+
+
+def _write(target: str, text, path: str) -> None:
+    """Write ``text`` to ``target``; an error names the output ``path``."""
+    try:
+        if callable(text):
+            text(target)
+        else:
+            Path(target).write_text(text, encoding="utf-8")
+    except OSError as error:
+        raise ToolkitError(f"cannot write {path}: {error.strerror or error}") from None
 
 
 def _json_document(document: dict) -> str:
@@ -320,7 +339,7 @@ def cmd_xcorr(args) -> int:
 
     grids = {method: args.grid for method in methods}
     surrogate_config = SurrogateConfig(n_surrogates=args.surrogates, seed=args.seed)
-    correlograms = ensemble_significance(x_aligned, y_aligned, grids, surrogate_config)
+    correlograms = _ensemble_significance(x_aligned, y_aligned, grids, surrogate_config)
     reports = {}
     summaries = {}
     for method, correlogram in correlograms.items():

@@ -32,7 +32,6 @@ __all__ = [
     "AverageCoefficient",
     "aaft_surrogate",
     "xcorr_significance",
-    "ensemble_significance",
     "average_coefficient",
 ]
 
@@ -142,10 +141,10 @@ def xcorr_significance(
     always draws from child i of ``SeedSequence(config.seed)``, so neither
     the chunks nor the worker count change the result.
     """
-    return ensemble_significance(x, y, {method: scales}, config)[method]
+    return _ensemble_significance(x, y, {method: scales}, config)[method]
 
 
-def ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = None) -> dict[str, ScaleCorrelogram]:
+def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = None) -> dict[str, ScaleCorrelogram]:
     """:func:`xcorr_significance` for each ``method: scales`` of ``grids``
     on one ensemble: each surrogate pair is built once and every method's
     curve is evaluated on it, so each result equals the one-method call."""
@@ -157,6 +156,11 @@ def ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = No
     xv, yv = _validate_pair(x, y)
     grids = {method: _validate_grid(scales, method, xv.size) for method, scales in grids.items()}
     observed = [rho for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
+    flagged = [np.isnan(rho) for rho in observed]
+    for grid, nan in zip(grids.values(), flagged):
+        if nan.any():
+            where = ", ".join(str(int(s)) for s in grid[nan])
+            warnings.warn(f"degenerate scales forced p = 1 at: {where}")
     children = np.random.SeedSequence(config.seed).spawn(config.n_surrogates)
 
     def chunk_curves(start: int) -> list[np.ndarray]:
@@ -169,18 +173,14 @@ def ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = No
         chunks = list(pool.map(chunk_curves, range(0, config.n_surrogates, CHUNK_SIZE)))
 
     results = {}
-    for (method, grid), rho, rows in zip(grids.items(), observed, zip(*chunks)):
-        flagged = np.isnan(rho)
-        if flagged.any():
-            where = ", ".join(str(int(s)) for s in grid[flagged])
-            warnings.warn(f"degenerate scales forced p = 1 at: {where}")
+    for (method, grid), rho, nan, rows in zip(grids.items(), observed, flagged, zip(*chunks)):
         surrogate_rho = np.vstack(rows)
         with np.errstate(invalid="ignore"):
             exceed = np.abs(surrogate_rho) >= np.abs(rho)[None, :]
         exceed |= np.isnan(surrogate_rho)
         p_values = (1.0 + exceed.sum(axis=0)) / (1.0 + config.n_surrogates)
-        p_values[flagged] = 1.0
-        results[method] = ScaleCorrelogram(method, grid, rho, p_values, flagged, surrogate_rho)
+        p_values[nan] = 1.0
+        results[method] = ScaleCorrelogram(method, grid, rho, p_values, nan, surrogate_rho)
     return results
 
 

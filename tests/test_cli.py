@@ -1,8 +1,10 @@
 import datetime
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -35,6 +37,60 @@ def write_noise(path, hurst="0.7", length="600", seed="1"):
 @pytest.fixture(scope="module")
 def noise_csv(tmp_path_factory):
     return write_noise(tmp_path_factory.mktemp("data") / "noise.csv")
+
+
+class TestOutputTargets:
+    ARGS = ["synth", "--hurst", "0.6", "--length", "20", "--seed", "3"]
+
+    @pytest.fixture
+    def expected(self, capsys):
+        assert main(self.ARGS) == 0
+        return capsys.readouterr().out
+
+    def test_symlink_is_written_through(self, tmp_path, expected):
+        target = tmp_path / "real.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main([*self.ARGS, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, expected):
+        target = tmp_path / "series.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        assert main([*self.ARGS, "--out", str(target)]) == 0
+        assert target.read_text() == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_fifo_is_written_directly(self, tmp_path, expected):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main([*self.ARGS, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_dev_stdout_is_written_in_place(self, monkeypatch, capfd):
+        assert main(self.ARGS) == 0
+        expected = capfd.readouterr().out
+        replace = os.replace
+
+        def replace_outside_dev(source, target):
+            # Renaming onto a /dev entry would replace it for every process.
+            assert not str(target).startswith("/dev/"), target
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_outside_dev)
+        # /dev/stdout resolves to pytest's capture file, which is written in
+        # place; a file put in its stead would not be captured.
+        assert main([*self.ARGS, "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == expected
 
 
 class TestSynth:

@@ -1,4 +1,5 @@
 import datetime
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,10 +14,10 @@ from lrdkit.surrogates import (
     CHUNK_SIZE,
     AverageCoefficient,
     SurrogateConfig,
+    _ensemble_significance,
     _phase_randomize,
     aaft_surrogate,
     average_coefficient,
-    ensemble_significance,
     xcorr_significance,
 )
 from lrdkit.xcorr import ScaleCorrelogram, scan_scales
@@ -138,7 +139,7 @@ class TestXcorrSignificance:
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=13)
         config = SurrogateConfig(n_surrogates=101, seed=9)
         grids = {"dcca": [10, 40, 70], "dmca": [11, 41, 71]}
-        shared = ensemble_significance(x, y, grids, config)
+        shared = _ensemble_significance(x, y, grids, config)
         assert list(shared) == ["dcca", "dmca"]
         for method, grid in grids.items():
             alone = xcorr_significance(x, y, method, grid, config)
@@ -198,6 +199,19 @@ class TestXcorrSignificance:
         summary = average_coefficient(result)
         assert summary.mean_rho == result.rho[0]
         assert summary.std_rho == 0.0
+
+    def test_degenerate_scale_warns_before_the_ensemble(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(surrogates, "_aaft_values", lambda *args: calls.append(args))
+        x = kinked_step_series()
+        y = np.random.default_rng(57).standard_normal(64)
+        # DMCA comes first and is not degenerate; the DCCA warning still precedes any build.
+        grids = {"dmca": [5, 31], "dcca": [5, 32]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="32"):
+                _ensemble_significance(x, y, grids, SurrogateConfig(n_surrogates=100, seed=4))
+        assert calls == []
 
     def test_unknown_method(self):
         x = np.random.default_rng(58).standard_normal(64)
