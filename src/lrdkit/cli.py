@@ -188,7 +188,8 @@ def _emit(outputs: dict) -> None:
         for path, text in outputs.items():
             if path in (None, "-"):
                 continue
-            if os.path.isdir(path):
+            # realpath("") is the working directory, and "new/" names one.
+            if not path or path.endswith(os.sep) or os.path.isdir(path):
                 raise ToolkitError(f"cannot write {path}: Is a directory")
             # A /dev path such as /dev/stdout may resolve to a file the caller
             # holds open, which must be written in place, not replaced.

@@ -39,9 +39,10 @@ __all__ = [
 
 TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
-# Entries of the largest (B + 1)^2 table of block-pair products (8 MB), and
-# per slice of surrogates: (k, B + 1) block quantities stay below the
-# allocator's mmap threshold; (k, T) surrogate rows need longer slices.
+# Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
+# which the pairs are multiplied, and per slice of surrogates: with tables,
+# (k, B + 1) block quantities stay below the allocator's mmap threshold;
+# without, the (k, B + 1, b) blocks of the multiplied pairs are held to 512 kB.
 TABLE_ENTRIES, TABLE_SLICE, ROW_SLICE = 1 << 20, 1 << 13, 1 << 16
 
 
@@ -110,14 +111,16 @@ def _block_kernel(values: np.ndarray, block_size: int):
     variance and the products within a block do not depend on the order.
     The Bartlett-weighted products between the blocks in slots j and j + m
     sum to F_m[o_j, o_{j+m}], with F_m = X A_m X^T and A_m[i, i'] =
-    w(m b + i' - i): one (B + 1)^2 table per bandwidth q and m <= ceil(q / b).
-    Lo's lag-1 product pairs the last and first values of adjacent blocks.
-    The profile is the running total of the block sums plus each block's own
-    partial sums, whose extremes and moments are tabled. Past
-    ``TABLE_ENTRIES``, all of these come from the gathered surrogate rows
-    instead. Returns a function of (k, B) block orders that gives, as arrays,
-    what ``series._row_statistics`` gives for each surrogate. With tables, a
-    row rounds the same whatever other rows it is evaluated with.
+    w(m b + i' - i), for each bandwidth q and m <= ceil(q / b). Up to
+    ``TABLE_ENTRIES``, F_m is one (B + 1)^2 table and each surrogate looks up
+    its B entries; past it, each surrogate multiplies its B pairs, rows o_j
+    of X A_m against rows o_{j+m} of X. Lo's lag-1 product pairs the last
+    and first values of adjacent blocks. The profile is the running total of
+    the block sums plus each block's own partial sums, whose extremes and
+    moments are tabled. Returns a function of (k, B) block orders that gives,
+    as arrays, what ``series._row_statistics`` gives for each surrogate. Up
+    to 8191 blocks, a row rounds the same whatever other rows it is
+    evaluated with; numpy's einsum sums longer rows differently in a batch.
     """
     n, b = values.size, block_size
     n_blocks = n // b
@@ -152,18 +155,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
         centres -= np.einsum("kj,j->k", centres, lengths)[:, None] / n
         return lag1_within + lag1, spread, spread_ss + np.einsum("kj,kj,j->k", centres, centres, lengths)
 
-    def from_rows(o: np.ndarray) -> tuple:
-        """As ``order_free``, from the gathered surrogate rows."""
-        x = np.take(blocks, o, axis=0).reshape(len(o), -1)[:, :n]
-        profile = np.cumsum(x, axis=1)
-        spread = profile.max(axis=1) - profile.min(axis=1)
-        profile -= profile.mean(axis=1, keepdims=True)
-        return np.einsum("kt,kt->k", x[:, :-1], x[:, 1:]), spread, np.einsum("kt,kt->k", profile, profile)
-
     def kernel(orders: np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            parts = [(order_free if tabled else from_rows)(slots(orders[start: start + step]))
-                     for start in range(0, len(orders), step)]
+            parts = [order_free(slots(orders[start: start + step])) for start in range(0, len(orders), step)]
             lag1, spread, prof_var = map(np.concatenate, zip(*parts))
             rho = lag1 / gamma0
             degenerate = ~(np.abs(rho) < 1.0)
@@ -172,21 +166,18 @@ def _block_kernel(values: np.ndarray, block_size: int):
             for q in np.unique(bandwidths):
                 group = np.flatnonzero(bandwidths == q)
                 slices = np.array_split(group, range(step, group.size, step))
-                if not tabled:
-                    weights = 1.0 - np.arange(1, q + 1) / (q + 1.0)
-                    for rows in slices:
-                        x = np.take(blocks, slots(orders[rows]), axis=0).reshape(len(rows), -1)
-                        cross[rows] = sum((w * np.einsum("kt,kt->k", x[:, :-lag], x[:, lag:])
-                                           for lag, w in enumerate(weights, 1)), np.zeros(len(rows)))
-                    continue
                 lag = b * np.arange(-(-q // b) + 1)[:, None, None] + np.arange(b) - np.arange(b)[:, None]
                 weighted = blocks @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
                 cross[group] = np.sum(weighted[0] * blocks)
                 for m in range(1, len(weighted)):
-                    table = (weighted[m] @ blocks.T).ravel()
+                    table = (weighted[m] @ blocks.T).ravel() if tabled else None
                     for rows in slices:
                         o = slots(orders[rows])
-                        cross[rows] += np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:]).sum(axis=1)
+                        if tabled:
+                            pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
+                        else:
+                            pairs = np.take(weighted[m], o[:, :-m], axis=0) * np.take(blocks, o[:, m:], axis=0)
+                        cross[rows] += pairs.reshape(len(rows), -1).sum(axis=1)
                     del table  # before the next one is built: at most one is held
             s2 = (gamma0 + 2.0 * cross) / n
             statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * n * s2)], axis=1)
@@ -224,10 +215,10 @@ def bootstrap_lrd_tests(
     Every surrogate permutes the complete blocks, recomputes the automatic
     bandwidth, and evaluates both statistics. Surrogate i takes its block
     order from child i of ``SeedSequence(seed)`` and is evaluated from per-
-    block tables (``_block_kernel``) in O(B (q / b + 1)) for B blocks and
-    bandwidth q. A surrogate with a degenerate variance is redrawn from its
-    own child generator; more than ``10 * n_surrogates`` redraws in total
-    abort the run.
+    block quantities (``_block_kernel``) in O(B (q / b + 1)) for B blocks
+    and bandwidth q, times b past the pair tables. A surrogate with a
+    degenerate variance is redrawn from its own child generator; more than
+    ``10 * n_surrogates`` redraws in total abort the run.
 
     Returns a dict keyed by test kind.
     """

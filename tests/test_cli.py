@@ -76,6 +76,21 @@ class TestOutputTargets:
         assert received == [expected]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    @pytest.mark.parametrize("out", ["", "nodir" + os.sep])
+    def test_directory_path_writes_nothing(self, noise_csv, tmp_path, monkeypatch, capsys, out):
+        # "" resolves to the working directory; "nodir/" names a directory
+        # that does not exist. Neither may become a file.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "lrdtest", str(noise_csv),
+            "--surrogates", "100",
+            "--fluctuation-out", "fl",
+            "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_dev_stdout_is_written_in_place(self, monkeypatch, capfd):
         assert main(self.ARGS) == 0
         expected = capfd.readouterr().out

@@ -296,9 +296,10 @@ class TestBlockKernel:
         (1000, 25, 0.9, True),  # no tail
         (1013, 1, 0.5, True),
         (1013, 2, 0.9, True),
-        (2101, 2, 0.9, False),  # more than 1023 blocks: gathered rows
+        (2101, 2, 0.9, False),  # more than 1023 blocks: block pairs multiplied
         (1100, 1, 0.3, False),
         (2101, 2, 0.0, False),
+        (26000, 25, 0.97, False),  # q >= 2b, multiplied
     ])
     def test_matches_row_statistics(self, n, block_size, phi, tabled):
         values = ar1(phi, n, seed=n + block_size)
@@ -324,9 +325,9 @@ class TestBlockKernel:
             assert np.array_equal(single[0], stats[row])
             assert single_bandwidths[0] == bandwidths[row]
 
-    def test_zero_bandwidths_on_gathered_rows(self):
-        # 1026 blocks of 25 at the default block size: slices of two gathered
-        # rows, most of them with q = 0.
+    def test_zero_bandwidths_on_multiplied_blocks(self):
+        # 1026 blocks of 25 at the default block size: slices of two
+        # surrogates whose block pairs are multiplied, most of them with q = 0.
         values = ar1(0.0, 25650, seed=4)
         expected, bandwidths = serial_ensemble(values, 25, 40, 3)
         assert bandwidths.count(0) > 20
@@ -335,9 +336,10 @@ class TestBlockKernel:
             exceed = int(np.sum(expected[:, column] >= results[kind].statistic))
             assert results[kind].p_value == (1.0 + exceed) / 41.0
 
-    @pytest.mark.parametrize("n, block_size", [(2500, 1), (2047, 2)])
+    @pytest.mark.parametrize("n, block_size", [(2500, 1), (2047, 2), (25650, 25)])
     def test_memory_stays_bounded(self, n, block_size):
-        # Gathered rows of the longest surrogates, and the largest table.
+        # Multiplied block pairs of the most and of the longest blocks, and
+        # the largest table.
         values = ar1(0.9, n, seed=45)
         lrd._block_orders.cache_clear()
         tracemalloc.start()
