@@ -19,18 +19,15 @@ from .errors import (
 )
 from .series import (
     HacVariance,
-    Profile,
     TimeSeries,
     auto_bandwidth,
     auto_bandwidth_value,
     autocovariance,
-    build_profile,
     hac_variance,
 )
 from .lrd import (
     TEST_KINDS,
     LrdTestResult,
-    block_bootstrap_test,
     bootstrap_lrd_tests,
     rescaled_range_statistic,
     rescaled_variance_statistic,

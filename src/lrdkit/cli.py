@@ -43,7 +43,9 @@ from .finance import (
 )
 from .lrd import bootstrap_lrd_tests
 from .series import TimeSeries
-from .surrogates import MIN_SURROGATES, SurrogateConfig, _ensemble_significance, average_coefficient
+from .surrogates import (
+    MAX_SURROGATES, MIN_SURROGATES, SurrogateConfig, _ensemble_significance, average_coefficient
+)
 from .synth import FgnSpec, generate_fgn
 
 __all__ = ["main", "build_parser"]
@@ -156,7 +158,8 @@ def _load_config(path: str | None, allowed: tuple[str, ...]) -> dict[str, str]:
 
 def _resolve_options(args) -> None:
     """Set each of the subcommand's ``OPTIONS`` not given as a flag to its
-    config value, checked by the flag's own validator, else its default."""
+    config value, checked by the flag's own validator, else its default.
+    A surrogate count past ``MAX_SURROGATES`` is refused before any work."""
     config = _load_config(args.config, args.options)
     for key in args.options:
         if getattr(args, key) is not None:
@@ -169,6 +172,8 @@ def _resolve_options(args) -> None:
             except (ValueError, argparse.ArgumentTypeError) as error:
                 raise UsageError(f"config key {key!r}: {error}") from None
         setattr(args, key, value)
+    if getattr(args, "surrogates", 0) > MAX_SURROGATES:
+        raise UsageError(f"at most {MAX_SURROGATES} surrogates, got {args.surrogates}")
 
 
 def _emit(outputs: dict) -> None:

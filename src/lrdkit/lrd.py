@@ -27,13 +27,13 @@ from .errors import (
     InvalidInputError,
 )
 from .series import _lo_bandwidth, _row_statistics, as_values
+from .surrogates import MAX_SURROGATES
 
 __all__ = [
     "TEST_KINDS",
     "LrdTestResult",
     "rescaled_range_statistic",
     "rescaled_variance_statistic",
-    "block_bootstrap_test",
     "bootstrap_lrd_tests",
 ]
 
@@ -218,7 +218,8 @@ def bootstrap_lrd_tests(
     block quantities (``_block_kernel``) in O(B (q / b + 1)) for B blocks
     and bandwidth q, times b past the pair tables. A surrogate with a
     degenerate variance is redrawn from its own child generator; more than
-    ``10 * n_surrogates`` redraws in total abort the run.
+    ``10 * n_surrogates`` redraws in total abort the run. At most
+    ``MAX_SURROGATES`` surrogates and 2**28 block orders in all are drawn.
 
     Returns a dict keyed by test kind.
     """
@@ -230,8 +231,10 @@ def bootstrap_lrd_tests(
         raise InvalidInputError(
             f"need at least {2 * block_size} observations for block size {block_size}, got {n}"
         )
-    if n_surrogates < 1:
-        raise InvalidInputError("need at least one surrogate")
+    if not 1 <= n_surrogates <= MAX_SURROGATES:
+        raise InvalidInputError(f"need 1 to {MAX_SURROGATES} surrogates, got {n_surrogates}")
+    if n_surrogates * (n // block_size) > 1 << 28:  # 512 MiB of int16 block orders
+        raise InvalidInputError(f"{n_surrogates} surrogates of {n // block_size} blocks pass 2**28 block orders")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
@@ -254,26 +257,3 @@ def bootstrap_lrd_tests(
             n_redraws=total_redraws,
         )
     return results
-
-
-def block_bootstrap_test(
-    series,
-    test_kind: str,
-    block_size: int = 25,
-    n_surrogates: int = 1000,
-    seed: int = 0,
-) -> LrdTestResult:
-    """Block-bootstrap significance test for one statistic.
-
-    ``test_kind`` selects ``"rescaled_range"`` or ``"rescaled_variance"``.
-    See :func:`bootstrap_lrd_tests` for the ensemble contract; with equal
-    arguments both entry points give identical numbers.
-    """
-    if test_kind not in TEST_KINDS:
-        raise InvalidInputError(
-            f"test kind must be one of {TEST_KINDS}, got {test_kind!r}"
-        )
-    results = bootstrap_lrd_tests(
-        series, block_size=block_size, n_surrogates=n_surrogates, seed=seed
-    )
-    return results[test_kind]

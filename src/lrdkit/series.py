@@ -1,6 +1,5 @@
-"""Core series container, profile construction, and long-run variance.
+"""Core series container, autocovariances and long-run variance.
 
-The profile of a series is the cumulative sum of its mean-centered values.
 Autocovariances use the biased divisor (the full sample size at every lag),
 which keeps the Bartlett-weighted long-run variance nonnegative for q = 0 and
 matches the convention used throughout the statistics in this package.
@@ -19,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, InvalidInputError, ToolkitError
+from .errors import DegenerateVarianceError, InvalidInputError
 
 __all__ = [
     "TimeSeries",
-    "Profile",
     "HacVariance",
     "as_values",
-    "build_profile",
     "autocovariance",
     "hac_variance",
     "auto_bandwidth",
@@ -82,18 +79,6 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, eq=False)
-class Profile:
-    """Cumulative sum of mean-centered observations.
-
-    The final entry is zero up to rounding because the centered values sum
-    to zero by construction.
-    """
-
-    values: np.ndarray
-    source_mean: float
-
-
 @dataclass(frozen=True)
 class HacVariance:
     """Bartlett-kernel heteroskedasticity and autocorrelation consistent
@@ -128,22 +113,6 @@ def as_values(series, min_length: int = 1) -> np.ndarray:
             f"need at least {min_length} observations, got {values.size}"
         )
     return values
-
-
-def build_profile(series) -> Profile:
-    """Integrate a series into its profile.
-
-    Subtracts the sample mean and cumulates. The last profile value must
-    close at zero within rounding; a violation indicates numerically
-    pathological input and raises :class:`ToolkitError`.
-    """
-    x = as_values(series, min_length=2)
-    mean = float(x.mean())
-    values = np.cumsum(x - mean)
-    largest = float(np.abs(x).max())
-    if abs(float(values[-1])) > 1e-9 * x.size * largest:
-        raise ToolkitError("profile failed to close at zero")
-    return Profile(values=values, source_mean=mean)
 
 
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 MIN_SURROGATES = 100
+# Every surrogate spawns a seed child of about 372 bytes before any work
+# starts, so larger counts are refused before the spawn.
+MAX_SURROGATES = 10**6
 # Surrogate pairs evaluated together. Larger chunks cost memory traffic
 # and resident memory without saving time.
 CHUNK_SIZE = 8
@@ -46,16 +49,16 @@ class SurrogateConfig:
     """Ensemble parameters for surrogate-based p-values.
 
     Fewer than ``MIN_SURROGATES`` would make the reported p-values too coarse
-    and are rejected, as are negative seeds.
+    and are rejected, as are more than ``MAX_SURROGATES`` and negative seeds.
     """
 
     n_surrogates: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_surrogates < MIN_SURROGATES:
+        if not MIN_SURROGATES <= self.n_surrogates <= MAX_SURROGATES:
             raise InvalidInputError(
-                f"need at least {MIN_SURROGATES} surrogates for p-values, got {self.n_surrogates}"
+                f"need {MIN_SURROGATES} to {MAX_SURROGATES} surrogates for p-values, got {self.n_surrogates}"
             )
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")

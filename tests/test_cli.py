@@ -612,6 +612,17 @@ class TestConfigFile:
         assert f"config key {key!r}" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["lrdtest", "xcorr"])
+    def test_surrogates_past_the_limit_are_a_usage_error(self, no_ensemble, noise_csv, tmp_path, capsys, command):
+        config = tmp_path / "run.conf"
+        config.write_text("surrogates = 1000001\n")
+        inputs = [str(noise_csv)] * (1 if command == "lrdtest" else 2)
+        for options in (["--surrogates", "1000001"], ["--config", str(config)]):
+            assert main([command, *inputs, *options]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == ["usage error: at most 1000000 surrogates, got 1000001"]
+
     def test_format_flag_and_config_agree(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("format = JSON\n")

@@ -12,7 +12,6 @@ from lrdkit.errors import (
 )
 from lrdkit.lrd import (
     TEST_KINDS,
-    block_bootstrap_test,
     bootstrap_lrd_tests,
     rescaled_range_statistic,
     rescaled_variance_statistic,
@@ -167,18 +166,6 @@ class TestBootstrap:
             assert result.n_redraws == 0
             assert 1.0 / 65.0 <= result.p_value <= 1.0
 
-    def test_single_kind_entry_point_matches(self):
-        x = np.random.default_rng(33).standard_normal(300)
-        both = bootstrap_lrd_tests(x, n_surrogates=50, seed=14)
-        for kind in ("rescaled_range", "rescaled_variance"):
-            single = block_bootstrap_test(x, kind, n_surrogates=50, seed=14)
-            assert single == both[kind]
-
-    def test_unknown_kind_rejected(self):
-        x = np.random.default_rng(34).standard_normal(300)
-        with pytest.raises(InvalidInputError):
-            block_bootstrap_test(x, "median_shift", n_surrogates=10)
-
     def test_series_shorter_than_two_blocks(self):
         x = np.random.default_rng(35).standard_normal(49)
         with pytest.raises(InvalidInputError):
@@ -192,6 +179,16 @@ class TestBootstrap:
             bootstrap_lrd_tests(x, n_surrogates=0)
         with pytest.raises(InvalidInputError):
             bootstrap_lrd_tests(x, n_surrogates=10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "length, block_size, n_surrogates",
+        # Past MAX_SURROGATES; past 2**28 block orders, within it.
+        [(100, 25, 10**6 + 1), (2100, 1, 200_000)],
+    )
+    def test_surrogate_limits_checked_before_any_draw(self, no_ensemble, length, block_size, n_surrogates):
+        x = np.random.default_rng(36).standard_normal(length)
+        with pytest.raises(InvalidInputError, match="surrogates"):
+            bootstrap_lrd_tests(x, block_size=block_size, n_surrogates=n_surrogates)
 
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)

@@ -11,7 +11,6 @@ from lrdkit.series import (
     auto_bandwidth,
     auto_bandwidth_value,
     autocovariance,
-    build_profile,
     hac_variance,
 )
 
@@ -61,31 +60,6 @@ class TestAsValues:
     def test_rejects_nan_in_arrays(self):
         with pytest.raises(InvalidInputError):
             as_values([1.0, np.nan])
-
-
-class TestProfile:
-    def test_hand_profile(self):
-        profile = build_profile([1.0, 2.0, 3.0])
-        assert profile.values.tolist() == [-1.0, -1.0, 0.0]
-        assert profile.source_mean == 2.0
-
-    def test_two_point_profile(self):
-        profile = build_profile([2.0, 0.0])
-        assert profile.values.tolist() == [1.0, 0.0]
-
-    def test_constant_series_profile_is_zero(self):
-        profile = build_profile([5.0, 5.0, 5.0, 5.0])
-        assert profile.values.tolist() == [0.0, 0.0, 0.0, 0.0]
-
-    def test_closure_on_random_data(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(1000) * 100
-        profile = build_profile(x)
-        assert abs(profile.values[-1]) < 1e-9 * 1000 * np.abs(x).max()
-
-    def test_too_short(self):
-        with pytest.raises(InvalidInputError):
-            build_profile([1.0])
 
 
 class TestAutocovariance:

@@ -276,3 +276,7 @@ class TestSurrogateConfig:
             SurrogateConfig(n_surrogates=99)
         with pytest.raises(InvalidInputError):
             SurrogateConfig(seed=-1)
+
+    def test_count_past_the_limit_rejected(self, no_ensemble):
+        with pytest.raises(InvalidInputError, match="100 to 1000000 surrogates"):
+            SurrogateConfig(n_surrogates=10**6 + 1)
