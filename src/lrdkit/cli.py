@@ -398,18 +398,9 @@ def cmd_volatility(args) -> int:
         raise UsageError("volatility requires --out PREFIX for its two files")
 
     bars = read_series_csv(args.input, "ohlcv")
-    dates = [bar.date for bar in bars]
     stem = Path(args.input).stem
-    variance = TimeSeries(
-        np.asarray([garman_klass(bar) for bar in bars]),
-        label=f"{stem}-variance",
-        dates=dates,
-    )
-    volume = TimeSeries(
-        np.asarray([bar.volume for bar in bars]),
-        label=f"{stem}-volume",
-        dates=dates,
-    )
+    variance = TimeSeries(garman_klass(bars), label=f"{stem}-variance", dates=bars.dates)
+    volume = TimeSeries(bars.volume, label=f"{stem}-volume", dates=bars.dates)
     log_variance = log_transform(variance, floor=args.floor)
     log_volume = log_transform(volume, floor=args.floor)
 
@@ -451,11 +442,12 @@ def cmd_chain(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        dates = [args.start_date + dt.timedelta(days=i) for i in range(args.length)]
+        args.start_date + dt.timedelta(days=args.length - 1)
     except OverflowError:
         raise UsageError(
             f"{args.length} days from {args.start_date} pass the last representable date"
         ) from None
+    dates = (np.datetime64(args.start_date, "D") + np.arange(args.length)).tolist()
     spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
     _emit({args.out: series_csv_text(TimeSeries(series.values, dates=dates))})

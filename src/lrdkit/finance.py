@@ -19,6 +19,7 @@ import csv
 import datetime as dt
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .series import TimeSeries
 
 __all__ = [
     "OhlcvBar",
+    "OhlcvBars",
     "TrendsSegment",
     "garman_klass",
     "log_transform",
@@ -87,6 +89,27 @@ class OhlcvBar:
 
 
 @dataclass(frozen=True, eq=False)
+class OhlcvBars(Sequence):
+    """Validated bars as dates and read-only float columns; an index builds an OhlcvBar."""
+
+    dates: tuple[dt.date, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, index):
+        columns = [getattr(self, name)[index] for name in OHLCV_HEADER[1:]]
+        if isinstance(index, slice):
+            return OhlcvBars(self.dates[index], *columns)
+        return OhlcvBar(self.dates[index], *map(float, columns))
+
+
+@dataclass(frozen=True, eq=False)
 class TrendsSegment:
     """A contiguous daily run of search-interest values in [0, 100]."""
 
@@ -134,14 +157,21 @@ class TrendsSegment:
         return int(self.values.size)
 
 
-def garman_klass(bar: OhlcvBar) -> float:
-    """Garman-Klass daily variance proxy for one bar.
+def _log_each(ratios: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value; ``np.log`` can differ from it in the last bit."""
+    return np.array(list(map(math.log, ratios.tolist())))
+
+
+def garman_klass(bar: OhlcvBar | OhlcvBars) -> float | np.ndarray:
+    """Garman-Klass daily variance proxy of one :class:`OhlcvBar`, or the
+    array of them for :class:`OhlcvBars`, equal to it bar for bar.
 
     Exactly zero on a flat bar; occasionally negative when the open-close
     move dominates the high-low range.
     """
-    high_low = math.log(bar.high / bar.low)
-    close_open = math.log(bar.close / bar.open)
+    log = _log_each if isinstance(bar, OhlcvBars) else math.log
+    high_low = log(bar.high / bar.low)
+    close_open = log(bar.close / bar.open)
     return 0.5 * high_low * high_low - _GK_COEFF * close_open * close_open
 
 
@@ -200,9 +230,6 @@ def chain_segments(segments, overlap_days: int) -> TimeSeries:
         raise InvalidInputError(f"overlap_days must be positive, got {overlap_days}")
     first = segments[0]
     chained = list(first.values)
-    dates = [
-        first.start_date + dt.timedelta(days=i) for i in range(len(first))
-    ]
     current_end = first.end_date
     for position, segment in enumerate(segments[1:], start=2):
         if segment.end_date <= current_end:
@@ -228,11 +255,9 @@ def chain_segments(segments, overlap_days: int) -> TimeSeries:
             )
         scaled = segment.values * (earlier_mean / later_mean)
         chained.extend(scaled[overlap:])
-        dates.extend(
-            segment.start_date + dt.timedelta(days=i)
-            for i in range(overlap, len(segment))
-        )
         current_end = segment.end_date
+    # Each segment is daily-contiguous and extends the last without a gap.
+    dates = (np.datetime64(first.start_date, "D") + np.arange(len(chained))).tolist()
     return TimeSeries(np.asarray(chained), label="chained", dates=dates)
 
 
@@ -393,7 +418,8 @@ def read_series_csv(path, schema: str):
     band is enforced when a segment enters the chaining step.
 
     ``schema="ohlcv"`` expects ``date,open,high,low,close,volume`` and
-    returns a list of :class:`OhlcvBar`.
+    returns :class:`OhlcvBars`, a read-only sequence over the validated
+    columns that builds an :class:`OhlcvBar` only when one is indexed.
 
     Violations are reported with the offending row number. Plain files are
     parsed a column at a time; any other file, and any file that fails a
@@ -415,21 +441,18 @@ def read_series_csv(path, schema: str):
         raise InvalidInputError(f"{path}: {error}") from None
     if schema == "trends":
         return TimeSeries(columns[0], label=path.stem, dates=dates)
-    return list(map(OhlcvBar, dates, *(column.tolist() for column in columns)))
+    for column in columns:
+        column.flags.writeable = False
+    return OhlcvBars(tuple(dates), *columns)
 
 
 def series_csv_text(series: TimeSeries) -> str:
     """A dated series as ``date,value`` CSV text with full precision."""
     if series.dates is None:
-        raise InvalidInputError(
-            f"series {series.label!r} has no dates to write"
-        )
-    lines = [",".join(TRENDS_HEADER)]
-    lines.extend(
-        f"{date.isoformat()},{format_float(value)}"
-        for date, value in zip(series.dates, series.values)
-    )
-    return "\n".join(lines) + "\n"
+        raise InvalidInputError(f"series {series.label!r} has no dates to write")
+    # The bytes of format_float, in one pass over all rows.
+    rows = zip(map(dt.date.isoformat, series.dates), series.values.tolist())
+    return ",".join(TRENDS_HEADER) + "\n" + "".join(map("%s,%.17g\n".__mod__, rows))
 
 
 def write_series_csv(series: TimeSeries, path) -> None:

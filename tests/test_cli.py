@@ -167,6 +167,30 @@ class TestSynth:
         assert "usage error" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_dates_reach_the_last_date(self, capsys):
+        assert main(["synth", "--hurst", "0.7", "--length", "16", "--start-date", "9999-12-16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 17
+        assert lines[1].startswith("9999-12-16,") and lines[-1].startswith("9999-12-31,")
+
+    def test_one_day_past_the_last_date_is_a_usage_error(self):
+        result = run_cli("synth", "--hurst", "0.7", "--length", "16", "--start-date", "9999-12-17")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "usage error: 16 days from 9999-12-17 pass the last representable date"
+        ]
+
+    def test_length_below_16_is_a_usage_error(self):
+        result = run_cli("synth", "--hurst", "0.7", "--length", "15")
+        assert result.returncode == 2
+        assert "length must be at least 16, got 15" in result.stderr
+
+    def test_dates_start_at_the_first_date(self, capsys):
+        assert main(["synth", "--hurst", "0.7", "--length", "16", "--start-date", "0001-01-01"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("0001-01-01,") and lines[-1].startswith("0001-01-16,")
+
 
 class TestLrdtest:
     def test_json_document(self, noise_csv):
@@ -519,6 +543,28 @@ class TestVolatility:
         result = run_cli("volatility", str(bars_csv))
         assert result.returncode == 2
         assert "usage error" in result.stderr
+
+    def test_row_loop_writes_the_same_bytes(self, bars_csv, tmp_path, capsys):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(bars_csv.read_bytes().replace(b"\n", b"\r\n"))
+        for source, prefix in ((bars_csv, "lf"), (crlf, "crlf")):
+            assert main(["volatility", str(source), "--out", str(tmp_path / prefix)]) == 0
+        for suffix in ("_log_variance.csv", "_log_volume.csv"):
+            assert (tmp_path / f"lf{suffix}").read_bytes() == (tmp_path / f"crlf{suffix}").read_bytes()
+
+    def test_bad_bar_names_its_row(self, tmp_path):
+        target = tmp_path / "bad.csv"
+        target.write_text(
+            "date,open,high,low,close,volume\n"
+            "2021-01-04,100,110,95,105,1200\n"
+            "2021-01-05,105,104,99,100,900\n"
+        )
+        result = run_cli("volatility", str(target), "--out", str(tmp_path / "v"))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"error: {target}:3: 2021-01-05: bar violates low <= open, close <= high"
+        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv"]
 
     def test_writes_both_series(self, bars_csv, tmp_path):
         prefix = tmp_path / "djia"

@@ -1,8 +1,12 @@
 import datetime as dt
 import math
+import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrdkit.errors import (
     DegenerateOverlapError,
@@ -10,13 +14,16 @@ from lrdkit.errors import (
     InvalidInputError,
 )
 from lrdkit.finance import (
+    OHLCV_HEADER,
     OhlcvBar,
+    OhlcvBars,
     TrendsSegment,
     chain_segments,
     format_float,
     garman_klass,
     log_transform,
     read_series_csv,
+    series_csv_text,
     write_series_csv,
 )
 from lrdkit.series import TimeSeries
@@ -48,6 +55,86 @@ class TestGarmanKlass:
         scale = 3.7
         scaled = make_bar(o=100.0 * scale, h=110.0 * scale, low=95.0 * scale, c=105.0 * scale)
         assert garman_klass(scaled) == pytest.approx(garman_klass(make_bar()), abs=1e-12)
+
+
+def bars_of(rows):
+    """OhlcvBars on consecutive days from (open, high, low, close, volume) rows."""
+    dates = tuple(dt.date(2004, 1, 1) + dt.timedelta(days=i) for i in range(len(rows)))
+    return OhlcvBars(dates, *(np.array(column) for column in zip(*rows)))
+
+
+def price_quads(draw, kind):
+    """Low, two inner prices and high of one bar of the given kind."""
+    if kind == "flat":
+        return [draw(st.floats(min_value=1e-150, max_value=1e150))] * 4
+    if kind == "cents":
+        # Daily ranges of a few percent, where np.log and math.log disagree
+        # on about one ratio in sixty.
+        base = draw(st.integers(min_value=100, max_value=10**7))
+        moves = draw(st.lists(st.integers(0, base // 20), min_size=4, max_size=4))
+        return sorted((base + move) / 100 for move in moves)
+    return sorted(draw(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=4, max_size=4)))
+
+
+@st.composite
+def bar_columns(draw):
+    """Valid bars: flat, with cent-rounded prices, or with any prices in
+    [1e-150, 1e150], so high/low ratios reach 1e300."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        low, first, second, high = price_quads(draw, draw(st.sampled_from(["flat", "cents", "extreme"])))
+        open_, close = draw(st.permutations([first, second]))
+        rows.append((open_, high, low, close, draw(st.floats(min_value=0.0, max_value=1e12))))
+    return bars_of(rows)
+
+
+class TestGarmanKlassColumns:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bars=bar_columns())
+    @example(bars=bars_of([(50.0, 50.0, 50.0, 50.0, 0.0)]))
+    @example(bars=bars_of([(1.0, math.nextafter(1.0, 2.0), 1.0, 1.0, 1.0), (1e-150, 1e150, 1e-150, 1e150, 1.0)]))
+    def test_equals_each_bar_bit_for_bit(self, bars):
+        columns = garman_klass(bars)
+        per_bar = np.array([garman_klass(bar) for bar in bars])
+        assert columns.view(np.int64).tolist() == per_bar.view(np.int64).tolist()
+
+    def test_flat_bars_are_exactly_zero(self):
+        bars = bars_of([(p, p, p, p, 0.0) for p in (0.01, 1.0, 123.45, 1e150)])
+        assert garman_klass(bars).tolist() == [0.0] * 4
+
+
+class TestOhlcvBars:
+    TEXT = (
+        "date,open,high,low,close,volume\n"
+        "2021-01-04,100,110,95,105,1200\n"
+        "2021-01-05,105,106,99,100,900\n"
+        "2021-01-06,100,100,100,100,0\n"
+    )
+
+    @pytest.fixture(params=["\n", "\r\n"], ids=["column path", "row loop"])
+    def bars(self, request, tmp_path):
+        target = tmp_path / "prices.csv"
+        target.write_bytes(self.TEXT.replace("\n", request.param).encode())
+        return read_series_csv(target, "ohlcv")
+
+    def test_is_a_sequence_of_bars(self, bars):
+        assert isinstance(bars, OhlcvBars) and isinstance(bars, Sequence)
+        assert len(bars) == 3
+        assert bars[0].high == 110.0
+        assert bars[-1] == OhlcvBar(dt.date(2021, 1, 6), 100.0, 100.0, 100.0, 100.0, 0.0)
+        assert [bar.close for bar in bars] == [105.0, 100.0, 100.0]
+        assert list(bars[1:]) == [bars[1], bars[2]]
+        with pytest.raises(IndexError):
+            bars[3]
+
+    def test_columns_are_the_bars(self, bars):
+        assert bars.dates == tuple(dt.date(2021, 1, d) for d in (4, 5, 6))
+        assert bars.volume.tolist() == [1200.0, 900.0, 0.0]
+
+    @pytest.mark.parametrize("name", OHLCV_HEADER[1:])
+    def test_columns_refuse_assignment(self, bars, name):
+        with pytest.raises(ValueError):
+            getattr(bars, name)[0] = 1.0
 
 
 class TestOhlcvBar:
@@ -186,6 +273,9 @@ class TestChainSegments:
         chained = chain_segments([first, second, third], overlap_days=3)
         assert np.allclose(chained.values, 20.0)
         assert chained.values.size == 24
+        assert chained.dates == tuple(
+            dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(24)
+        )
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(61)
@@ -319,6 +409,42 @@ class TestCsv:
     def test_write_requires_dates(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_series_csv(TimeSeries(np.ones(3)), tmp_path / "out.csv")
+
+
+@st.composite
+def dated_values(draw):
+    """Finite floats on strictly increasing dates."""
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    date, dates = draw(st.dates(max_value=dt.date(9000, 1, 1))), []
+    for _ in values:
+        dates.append(date)
+        date += dt.timedelta(days=draw(st.integers(min_value=1, max_value=40)))
+    return tuple(dates), values
+
+
+class TestSeriesCsvText:
+    @pytest.mark.parametrize(("value", "text"), [
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (1.0 / 3.0, "0.33333333333333331"),
+        (1e16, "10000000000000000"),
+        (sys.float_info.max, "1.7976931348623157e+308"),
+        (1e-300, "1e-300"),
+        (123.0, "123"),
+    ])
+    def test_pinned_bytes(self, value, text):
+        series = TimeSeries([2.5, value], dates=(dt.date(2004, 1, 1), dt.date(2004, 1, 3)))
+        assert series_csv_text(series) == f"date,value\n2004-01-01,2.5\n2004-01-03,{text}\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=dated_values())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        dates, values = data
+        target = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_series_csv(TimeSeries(values, dates=dates), target)
+        back = read_series_csv(target, "trends")
+        assert back.dates == dates
+        assert back.values.view(np.int64).tolist() == np.array(values).view(np.int64).tolist()
 
 
 class TestFormatFloat:
