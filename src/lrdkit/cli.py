@@ -21,6 +21,7 @@ import contextlib
 import datetime as dt
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,13 +58,13 @@ class UsageError(Exception):
     """Bad flag or config combination, mapped to exit code 2."""
 
 
-def _in_unit_interval(text: str, what: str) -> float:
+def _in_open_interval(text: str, what: str, high: float = 1.0) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{what} must lie strictly inside (0, 1), got {text}")
+    if not 0.0 < value < high:
+        raise argparse.ArgumentTypeError(f"{what} must lie strictly inside (0, {high:g}), got {text}")
     return value
 
 
@@ -77,8 +78,9 @@ def _int_at_least(text: str, minimum: int, what: str) -> int:
     return value
 
 
-_hurst_argument = functools.partial(_in_unit_interval, what="hurst exponent")
-_level_argument = functools.partial(_in_unit_interval, what="significance level")
+_hurst_argument = functools.partial(_in_open_interval, what="hurst exponent")
+_level_argument = functools.partial(_in_open_interval, what="significance level")
+_floor_argument = functools.partial(_in_open_interval, what="floor", high=math.inf)
 _length_argument = functools.partial(_int_at_least, minimum=16, what="length")
 _positive_int = functools.partial(_int_at_least, minimum=1, what="integer")
 _seed_argument = functools.partial(_int_at_least, minimum=0, what="seed")
@@ -126,7 +128,7 @@ OPTIONS = {
     "level": Option(_level_argument, 0.10, "significance level (default 0.10)"),
     "grid": Option(_grid_argument, None, "scales as start:stop:step"),
     "format": Option(_format_argument, "json", "csv or json (default json)"),
-    "floor": Option(float, None, "explicit clamp floor"),
+    "floor": Option(_floor_argument, None, "explicit clamp floor"),
     "overlap_days": Option(_positive_int, 1, "days consecutive segments must share (default 1)"),
     "sigma": Option(float, 1.0, "standard deviation (default 1.0)"),
     "start_date": Option(_date_argument, dt.date(2004, 1, 1), "first date (default 2004-01-01)"),
@@ -245,7 +247,7 @@ def _csv_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_lrdtest(args) -> int:
+def cmd_lrdtest(args) -> dict:
     # Every input is read before the first bootstrap, and every file is
     # written after the last series succeeds, so a failing run writes nothing.
     panel = [read_series_csv(path, "trends") for path in args.inputs]
@@ -297,8 +299,7 @@ def cmd_lrdtest(args) -> int:
         report = _json_document(document)
     else:
         report = _csv_text(rows)
-    _emit({**fluctuation_files, args.out: report})
-    return 0
+    return {**fluctuation_files, args.out: report}
 
 
 def _align_by_date(x: TimeSeries, y: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
@@ -332,7 +333,7 @@ def _sign_label(summaries: dict[str, object], level: float) -> str:
     return "0"
 
 
-def cmd_xcorr(args) -> int:
+def cmd_xcorr(args) -> dict:
     methods = ("dcca", "dmca") if args.method == "both" else (args.method,)
     if args.grid is not None and len(methods) > 1:
         raise UsageError("--grid requires a single --method, not both")
@@ -346,16 +347,18 @@ def cmd_xcorr(args) -> int:
     grids = {method: args.grid for method in methods}
     surrogate_config = SurrogateConfig(n_surrogates=args.surrogates, seed=args.seed)
     correlograms = _ensemble_significance(x_aligned, y_aligned, grids, surrogate_config)
-    reports = {}
-    summaries = {}
+    reports, summaries, csv_rows = {}, {}, []
     for method, correlogram in correlograms.items():
         summary = average_coefficient(correlogram)
-        masked = np.where(correlogram.p_values < args.level, correlogram.rho, 0.0)
+        scales = [int(s) for s in correlogram.scales]
+        rho = [float(r) for r in correlogram.rho]
+        p_values = [float(p) for p in correlogram.p_values]
+        masked = [float(r) for r in np.where(correlogram.p_values < args.level, correlogram.rho, 0.0)]
         reports[method] = {
-            "scales": [int(s) for s in correlogram.scales],
-            "rho": [float(r) for r in correlogram.rho],
-            "p_values": [float(p) for p in correlogram.p_values],
-            "rho_masked": [float(r) for r in masked],
+            "scales": scales,
+            "rho": rho,
+            "p_values": p_values,
+            "rho_masked": masked,
             "summary": {
                 "mean_rho": float(summary.mean_rho),
                 "std_rho": float(summary.std_rho),
@@ -364,36 +367,28 @@ def cmd_xcorr(args) -> int:
             },
         }
         summaries[method] = summary
+        csv_rows.extend(
+            {"method": method, "scale": scale, "rho": r, "p_value": p, "rho_masked": m}
+            for scale, r, p, m in zip(scales, rho, p_values, masked)
+        )
 
-    if args.format == "json":
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "xcorr",
-            "inputs": {"x": x_series.label, "y": y_series.label},
-            "n_obs": len(x_aligned),
-            "seed": args.seed,
-            "n_surrogates": args.surrogates,
-            "level": args.level,
-            "results": reports,
-            "sign": _sign_label(summaries, args.level),
-        }
-        _emit({args.out: _json_document(document)})
-    else:
-        csv_rows = [
-            {"method": method, "scale": scale, "rho": rho, "p_value": p_value, "rho_masked": masked}
-            for method in methods
-            for scale, rho, p_value, masked in zip(
-                reports[method]["scales"],
-                reports[method]["rho"],
-                reports[method]["p_values"],
-                reports[method]["rho_masked"],
-            )
-        ]
-        _emit({args.out: _csv_text(csv_rows)})
-    return 0
+    if args.format == "csv":
+        return {args.out: _csv_text(csv_rows)}
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "xcorr",
+        "inputs": {"x": x_series.label, "y": y_series.label},
+        "n_obs": len(x_aligned),
+        "seed": args.seed,
+        "n_surrogates": args.surrogates,
+        "level": args.level,
+        "results": reports,
+        "sign": _sign_label(summaries, args.level),
+    }
+    return {args.out: _json_document(document)}
 
 
-def cmd_volatility(args) -> int:
+def cmd_volatility(args) -> dict:
     if args.out is None:
         raise UsageError("volatility requires --out PREFIX for its two files")
 
@@ -422,25 +417,23 @@ def cmd_volatility(args) -> int:
             "log_volume": log_volume.meta["floor"],
         },
     }
-    _emit({
+    return {
         variance_path: functools.partial(write_series_csv, log_variance),
         volume_path: functools.partial(write_series_csv, log_volume),
         None: _json_document(document),
-    })
-    return 0
+    }
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> dict:
     segments = [
         TrendsSegment.from_timeseries(read_series_csv(path, "trends"))
         for path in args.segments
     ]
     chained = chain_segments(segments, args.overlap_days)
-    _emit({args.out: series_csv_text(chained)})
-    return 0
+    return {args.out: series_csv_text(chained)}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     try:
         args.start_date + dt.timedelta(days=args.length - 1)
     except OverflowError:
@@ -450,8 +443,7 @@ def cmd_synth(args) -> int:
     dates = (np.datetime64(args.start_date, "D") + np.arange(args.length)).tolist()
     spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
-    _emit({args.out: series_csv_text(TimeSeries(series.values, dates=dates))})
-    return 0
+    return {args.out: series_csv_text(TimeSeries(series.values, dates=dates))}
 
 
 def _add_options(parser: argparse.ArgumentParser, handler, *keys: str) -> None:
@@ -516,16 +508,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_options(args)
-        return args.handler(args)
+        _emit(args.handler(args))
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
-    except ToolkitError as error:
+    except (ToolkitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

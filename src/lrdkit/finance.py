@@ -30,7 +30,7 @@ from .errors import (
     InvalidBarError,
     InvalidInputError,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _increasing
 
 __all__ = [
     "OhlcvBar",
@@ -52,6 +52,15 @@ _GK_COEFF = 2.0 * math.log(2.0) - 1.0
 _DATE_SHAPE = np.frombuffer(b"0000-00-00,", dtype=np.uint8)
 
 
+def _valid_bars(open_, high, low, close, volume):
+    """Whether bars have finite prices with 0 < low <= open, close <= high
+    and a finite nonnegative volume; false on NaN. Takes floats or arrays."""
+    return (
+        (0.0 < low) & (low <= open_) & (open_ <= high) & (low <= close) & (close <= high)
+        & (high < math.inf) & (0.0 <= volume) & (volume < math.inf)
+    )
+
+
 @dataclass(frozen=True)
 class OhlcvBar:
     """One daily price bar with volume.
@@ -68,24 +77,18 @@ class OhlcvBar:
     volume: float
 
     def __post_init__(self) -> None:
-        # Comparison chains, false on NaN, pass every valid bar; the checks
-        # below name what an invalid bar violates.
-        low, high = self.low, self.high
-        if (
-            0.0 < low <= self.open <= high < math.inf
-            and low <= self.close <= high
-            and 0.0 <= self.volume < math.inf
-        ):
+        if _valid_bars(self.open, self.high, self.low, self.close, self.volume):
             return
+        # Each price alone as a flat bar, then the prices with a valid volume,
+        # name the first rule an invalid bar breaks.
         prices = (self.open, self.high, self.low, self.close)
-        if not all(math.isfinite(p) and p > 0.0 for p in prices):
+        if not all(_valid_bars(p, p, p, p, 0.0) for p in prices):
             raise InvalidBarError(f"{self.date}: prices must be positive and finite")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
+        if not _valid_bars(*prices, 0.0):
             raise InvalidBarError(
                 f"{self.date}: bar violates low <= open, close <= high"
             )
-        if not math.isfinite(self.volume) or self.volume < 0.0:
-            raise InvalidBarError(f"{self.date}: volume must be nonnegative")
+        raise InvalidBarError(f"{self.date}: volume must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,24 +327,16 @@ def _parse_columns(body: str, expected: tuple[str, ...]):
         columns = [np.array(fields[i::width], dtype=float) for i in range(1, width)]
     except ValueError:
         return None
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
-    if np.any(np.diff(ordinals) <= 0) or not np.isfinite(columns).all():
+    if not _increasing(dates) or not np.isfinite(columns).all():
         return None
-    if expected == OHLCV_HEADER:
-        open_, high, low, close, volume = columns
-        # A positive low bounds the other three prices away from zero.
-        if not (
-            np.all(low > 0.0)
-            and np.all(low <= np.minimum(open_, close))
-            and np.all(high >= np.maximum(open_, close))
-            and np.all(volume >= 0.0)
-        ):
-            return None
+    if expected == OHLCV_HEADER and not np.all(_valid_bars(*columns)):
+        return None
     return dates, columns
 
 
 def _read_columns(text: str, expected: tuple[str, ...]):
-    """Column-wise parse of a plain file, or None to leave it to the row loop.
+    """Column-wise parse of the data lines of a plain file whose header
+    matched, or None to leave it to the row loop.
 
     A file is plain when it holds no quote, carriage return or NUL and no
     line longer than the csv field size limit: splitting it on newlines and
@@ -349,12 +344,7 @@ def _read_columns(text: str, expected: tuple[str, ...]):
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    header, _, body = text.partition("\n")
-    if (
-        len(header) > csv.field_size_limit()
-        or tuple(h.strip().lower() for h in header.split(",")) != expected
-    ):
-        return None
+    body = text.partition("\n")[2]
     parsed = _parse_columns(body, expected)
     if parsed is None:
         # Blank lines, of commas and whitespace only, are skipped.
@@ -365,20 +355,10 @@ def _read_columns(text: str, expected: tuple[str, ...]):
     return parsed
 
 
-def _read_rows(text: str, expected: tuple[str, ...], path: Path):
-    """Row-by-row parse with ``csv.reader`` into dates and float columns,
-    reporting the first violation with its row number."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidInputError(f"{path}: empty file") from None
-    normalized = tuple(h.strip().lower() for h in header)
-    if normalized != expected:
-        raise InvalidInputError(
-            f"{path}:1: expected header {','.join(expected)!r}, "
-            f"got {','.join(header)!r}"
-        )
+def _read_rows(reader, expected: tuple[str, ...], path: Path):
+    """Row-by-row parse of the data rows left in a ``csv.reader`` into
+    dates and float columns, reporting the first violation with its row
+    number."""
     dates, rows = [], []
     for row_number, row in enumerate(reader, start=2):
         if not row or all(not field.strip() for field in row):
@@ -421,10 +401,11 @@ def read_series_csv(path, schema: str):
     returns :class:`OhlcvBars`, a read-only sequence over the validated
     columns that builds an :class:`OhlcvBar` only when one is indexed.
 
-    Violations are reported with the offending row number. Plain files are
-    parsed a column at a time; any other file, and any file that fails a
-    check, goes through the ``csv.reader`` row loop, which accepts exactly
-    the same files and reports the first violation.
+    Violations are reported with the offending row number. A ``csv.reader``
+    checks the header. Plain files are then parsed a column at a time; any
+    other file, and any file that fails a check, goes through the row loop,
+    which continues that reader, accepts exactly the same files and reports
+    the first violation.
     """
     if schema not in ("trends", "ohlcv"):
         raise InvalidInputError(f"unknown schema {schema!r}")
@@ -435,8 +416,17 @@ def read_series_csv(path, schema: str):
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
     expected = TRENDS_HEADER if schema == "trends" else OHLCV_HEADER
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        dates, columns = _read_columns(text, expected) or _read_rows(text, expected, path)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidInputError(f"{path}: empty file")
+        if tuple(h.strip().lower() for h in header) != expected:
+            raise InvalidInputError(
+                f"{path}:1: expected header {','.join(expected)!r}, "
+                f"got {','.join(header)!r}"
+            )
+        dates, columns = _read_columns(text, expected) or _read_rows(reader, expected, path)
     except csv.Error as error:
         raise InvalidInputError(f"{path}: {error}") from None
     if schema == "trends":

@@ -14,6 +14,7 @@ with rho1 the lag-1 sample autocorrelation, capped at T - 1.
 from __future__ import annotations
 
 import datetime as dt
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ __all__ = [
     "auto_bandwidth",
     "auto_bandwidth_value",
 ]
+
+
+def _increasing(dates) -> bool:
+    """Whether each date is later than the one before it."""
+    return all(map(operator.lt, dates, dates[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +75,7 @@ class TimeSeries:
                     f"series {self.label!r} has {values.size} values but "
                     f"{len(dates)} dates"
                 )
-            if any(b <= a for a, b in zip(dates, dates[1:])):
+            if not _increasing(dates):
                 raise InvalidInputError(
                     f"series {self.label!r} dates must be strictly increasing"
                 )

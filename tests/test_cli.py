@@ -160,6 +160,9 @@ class TestSynth:
     def test_invalid_hurst_is_a_usage_error(self):
         result = run_cli("synth", "--hurst", "1.5", "--length", "32")
         assert result.returncode == 2
+        assert result.stderr.splitlines()[-1].endswith(
+            "argument --hurst: hurst exponent must lie strictly inside (0, 1), got 1.5"
+        )
 
     def test_dates_past_the_last_date_are_a_usage_error(self):
         result = run_cli("synth", "--hurst", "0.7", "--length", "16", "--start-date", "9999-12-25")
@@ -463,6 +466,14 @@ class TestXcorr:
                 f"usage error: xcorr needs at least 100 surrogates, got {count}"
             ]
 
+    def test_level_outside_zero_to_one_is_a_usage_error(self, noise_csv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["xcorr", str(noise_csv), str(noise_csv), "--level", "1"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --level: significance level must lie strictly inside (0, 1), got 1"
+        )
+
     def test_grid_with_both_methods_rejected(self, noise_csv):
         result = run_cli(
             "xcorr", str(noise_csv), str(noise_csv),
@@ -566,6 +577,16 @@ class TestVolatility:
         ]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv"]
 
+    @pytest.mark.parametrize("floor", ["0", "-1", "nan", "inf"])
+    def test_floor_outside_zero_to_infinity_is_a_usage_error(self, bars_csv, tmp_path, capsys, floor):
+        with pytest.raises(SystemExit) as stop:
+            main(["volatility", str(bars_csv), "--floor", floor, "--out", str(tmp_path / "v")])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"argument --floor: floor must lie strictly inside (0, inf), got {floor}"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
+
     def test_writes_both_series(self, bars_csv, tmp_path):
         prefix = tmp_path / "djia"
         result = run_cli("volatility", str(bars_csv), "--out", str(prefix))
@@ -637,7 +658,7 @@ class TestConfigFile:
         [
             "surrogates = 0", "seed = -1", "level = 1.5", "grid = 10:5:1",
             "format = xml", "block_size = 0", "overlap_days = 0", "start_date = 2004-13-01",
-            "sigma = wide", "floor = abc",
+            "sigma = wide", "floor = abc", "floor = -1",
         ],
     )
     def test_invalid_value_is_a_usage_error(self, noise_csv, tmp_path, setting):

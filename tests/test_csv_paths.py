@@ -6,7 +6,9 @@ text both routes must agree: the same series or bars, bit for bit, or the
 same exception with the same message.
 """
 
+import csv
 import datetime as dt
+import math
 from unittest import mock
 
 import numpy as np
@@ -181,6 +183,10 @@ def test_trends_routes_agree(target, text):
         "2004-01-02,2,3,1,2,-1\n",
         "2004-01-02,2,3,1,nan,1\n",
         "2004-01-02,2,3,1,2,inf\n",
+        "2004-01-02,2,-inf,1,2,1\n",
+        "2004-01-02,2,3,1,0,1\n",
+        "2004-01-02,2,3,-1,2,1\n",
+        "2004-01-01,2,3,1,2,1\n",
     ]
 )
 def test_ohlcv_routes_agree(target, text):
@@ -243,3 +249,73 @@ class TestRoutes:
         target.write_text("date,value\n2004-01-01," + " " * 200_000 + "5\n")
         with pytest.raises(InvalidInputError, match="wide.csv: field larger than field limit"):
             read_series_csv(target, "trends")
+
+
+GOOD_BAR = {"open": 100.0, "high": 110.0, "low": 95.0, "close": 105.0, "volume": 1200.0}
+BAR_FAULTS = [
+    *((name, value, "prices must be positive and finite")
+      for name in ("open", "high", "low", "close")
+      for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)),
+    *(("volume", value, "volume must be nonnegative")
+      for value in (math.nan, math.inf, -math.inf, -1.0)),
+    ("low", 101.0, "bar violates low <= open, close <= high"),
+    ("high", 104.0, "bar violates low <= open, close <= high"),
+]
+
+
+def read_plain_and_crlf(target, text, schema):
+    """The outcome of reading ``text`` as it is and with CRLF line ends,
+    from the same path, so the two messages can be compared."""
+    outcomes = []
+    for newline in ("\n", "\r\n"):
+        target.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        outcomes.append(outcome(target, schema))
+    return outcomes
+
+
+class TestSameErrorOnEveryRoute:
+    """A bad bar, a date out of order and a bad header give the same class,
+    message and row through ``OhlcvBar``, a plain file and its CRLF copy."""
+
+    HEADER = ",".join(finance.OHLCV_HEADER) + "\n"
+    FIRST_ROW = "2004-01-01,100,110,95,105,1200\n"
+
+    @pytest.mark.parametrize("name, value, message", BAR_FAULTS)
+    def test_bad_bar(self, target, name, value, message):
+        date = dt.date(2004, 1, 2)
+        bar = {**GOOD_BAR, name: value}
+        with pytest.raises(InvalidBarError) as error:
+            finance.OhlcvBar(date, **bar)
+        assert str(error.value) == f"{date}: {message}"
+        text = self.HEADER + self.FIRST_ROW + f"{date},{','.join(map(repr, bar.values()))}\n"
+        if math.isfinite(value):
+            expected = InvalidBarError, f"{target}:3: {date}: {message}"
+        else:
+            expected = InvalidInputError, f"{target}:3: non-finite {name} field {repr(value)!r}"
+        assert read_plain_and_crlf(target, text, "ohlcv") == [expected, expected]
+
+    def test_bars_out_of_order(self, target):
+        text = self.HEADER + "2004-01-02,100,110,95,105,1200\n" + self.FIRST_ROW
+        expected = InvalidInputError, f"{target}:3: date 2004-01-01 does not increase past 2004-01-02"
+        assert read_plain_and_crlf(target, text, "ohlcv") == [expected, expected]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file"),
+        ("date,value\n", ": no data rows"),
+        ("day,value\n2004-01-01,5\n", ":1: expected header 'date,value', got 'day,value'"),
+        (" Date ,value\n2004-01-01,5\n2004-01-01,6\n", ":3: date 2004-01-01 does not increase past 2004-01-01"),
+    ])
+    def test_header(self, target, text, message):
+        expected = InvalidInputError, f"{target}{message}"
+        assert read_plain_and_crlf(target, text, "trends") == [expected, expected]
+
+    def test_header_field_over_the_csv_limit(self, target):
+        text = "date," + "v" * (csv.field_size_limit() + 1) + "\n2004-01-01,5\n"
+        expected = InvalidInputError, f"{target}: field larger than field limit ({csv.field_size_limit()})"
+        assert read_plain_and_crlf(target, text, "trends") == [expected, expected]
+
+    @pytest.mark.parametrize("name, value", [fault[:2] for fault in BAR_FAULTS])
+    def test_columns_agree_with_each_bar(self, name, value):
+        columns = [np.array([GOOD_BAR[field], value if field == name else GOOD_BAR[field]])
+                   for field in finance.OHLCV_HEADER[1:]]
+        assert finance._valid_bars(*columns).tolist() == [True, False]

@@ -156,7 +156,7 @@ class TestOhlcvBar:
             make_bar(c=math.inf)
 
     @pytest.mark.parametrize("field", ["o", "h", "low", "c", "v"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected(self, field, value):
         message = "volume must be nonnegative" if field == "v" else "positive and finite"
         with pytest.raises(InvalidBarError, match=message):

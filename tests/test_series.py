@@ -42,6 +42,12 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError):
             TimeSeries([1.0, 2.0], dates=days)
 
+    @pytest.mark.parametrize("days", [(1, 1), (1, 2, 2), (1, 3, 2)])
+    def test_repeated_or_late_dates_rejected(self, days):
+        dates = [dt.date(2020, 1, day) for day in days]
+        with pytest.raises(InvalidInputError, match="dates must be strictly increasing"):
+            TimeSeries(np.ones(len(dates)), dates=dates)
+
     def test_dates_coerced_to_tuple(self):
         days = [dt.date(2020, 1, 1), dt.date(2020, 1, 2)]
         series = TimeSeries([1.0, 2.0], dates=days)
