@@ -81,6 +81,7 @@ def _int_at_least(text: str, minimum: int, what: str) -> int:
 _hurst_argument = functools.partial(_in_open_interval, what="hurst exponent")
 _level_argument = functools.partial(_in_open_interval, what="significance level")
 _floor_argument = functools.partial(_in_open_interval, what="floor", high=math.inf)
+_sigma_argument = functools.partial(_in_open_interval, what="sigma", high=math.inf)
 _length_argument = functools.partial(_int_at_least, minimum=16, what="length")
 _positive_int = functools.partial(_int_at_least, minimum=1, what="integer")
 _seed_argument = functools.partial(_int_at_least, minimum=0, what="seed")
@@ -93,7 +94,7 @@ def _date_argument(text: str) -> dt.date:
         raise argparse.ArgumentTypeError(f"invalid ISO date {text!r}") from None
 
 
-def _grid_argument(text: str) -> np.ndarray:
+def _grid_argument(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like start:stop:step, got {text!r}")
@@ -103,7 +104,7 @@ def _grid_argument(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid fields must be integers, got {text!r}") from None
     if step < 1 or stop < start:
         raise argparse.ArgumentTypeError(f"grid {text!r} is empty or decreasing")
-    return np.arange(start, stop + 1, step)
+    return range(start, stop + 1, step)
 
 
 def _format_argument(text: str) -> str:
@@ -130,7 +131,7 @@ OPTIONS = {
     "format": Option(_format_argument, "json", "csv or json (default json)"),
     "floor": Option(_floor_argument, None, "explicit clamp floor"),
     "overlap_days": Option(_positive_int, 1, "days consecutive segments must share (default 1)"),
-    "sigma": Option(float, 1.0, "standard deviation (default 1.0)"),
+    "sigma": Option(_sigma_argument, 1.0, "standard deviation (default 1.0)"),
     "start_date": Option(_date_argument, dt.date(2004, 1, 1), "first date (default 2004-01-01)"),
     "out": Option(str, None, "output path (default: stdout)"),
 }
@@ -344,7 +345,10 @@ def cmd_xcorr(args) -> dict:
     y_series = read_series_csv(args.y, "trends")
     x_aligned, y_aligned = _align_by_date(x_series, y_series)
 
-    grids = {method: args.grid for method in methods}
+    # For n aligned points, a strictly increasing integer grid has its first
+    # out-of-range scale among its first n // 2 + 1, so only those are built.
+    grid = None if args.grid is None else args.grid[: len(x_aligned) // 2 + 1]
+    grids = {method: grid for method in methods}
     surrogate_config = SurrogateConfig(n_surrogates=args.surrogates, seed=args.seed)
     correlograms = _ensemble_significance(x_aligned, y_aligned, grids, surrogate_config)
     reports, summaries, csv_rows = {}, {}, []

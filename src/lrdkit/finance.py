@@ -292,13 +292,19 @@ def _parse_float(text: str, where: str, column: str) -> float:
     return value
 
 
-def _parse_columns(body: str, expected: tuple[str, ...]):
-    """The dates and float columns of the data lines of a plain file, or
-    None if any line would fail a check of the row loop."""
-    body = body.removesuffix("\n")
-    width = len(expected)
-    if not body:
+def _read_columns(text: str, expected: tuple[str, ...]):
+    """Column-wise parse of the data lines of a plain file whose header
+    matched, or None to leave it to the row loop: on a line that would fail
+    one of its checks, and on a blank line before the last data line.
+
+    A file is plain when it holds no quote, carriage return or NUL and no
+    line longer than the csv field size limit: splitting it on newlines and
+    commas then gives exactly the rows ``csv.reader`` gives.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
         return None
+    body = text.partition("\n")[2].rstrip("\n")
+    width = len(expected)
     # Commas and newlines are single bytes in UTF-8, so counting them on the
     # encoded text counts the fields of every line.
     raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
@@ -332,27 +338,6 @@ def _parse_columns(body: str, expected: tuple[str, ...]):
     if expected == OHLCV_HEADER and not np.all(_valid_bars(*columns)):
         return None
     return dates, columns
-
-
-def _read_columns(text: str, expected: tuple[str, ...]):
-    """Column-wise parse of the data lines of a plain file whose header
-    matched, or None to leave it to the row loop.
-
-    A file is plain when it holds no quote, carriage return or NUL and no
-    line longer than the csv field size limit: splitting it on newlines and
-    commas then gives exactly the rows ``csv.reader`` gives.
-    """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    body = text.partition("\n")[2]
-    parsed = _parse_columns(body, expected)
-    if parsed is None:
-        # Blank lines, of commas and whitespace only, are skipped.
-        lines = body.split("\n")
-        kept = [line for line in lines if line.replace(",", "").strip()]
-        if len(kept) < len(lines):
-            parsed = _parse_columns("\n".join(kept), expected)
-    return parsed
 
 
 def _read_rows(reader, expected: tuple[str, ...], path: Path):

@@ -1,6 +1,7 @@
 import datetime
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -133,7 +134,7 @@ class TestSynth:
         assert series.dates[0].isoformat() == "2010-05-01"
         assert len(series) == 20
 
-    @pytest.mark.parametrize("sigma", ["inf", "1e308"])
+    @pytest.mark.parametrize("sigma", ["1e308"])
     def test_overflowing_sigma_fails_cleanly(self, sigma):
         result = run_cli("synth", "--hurst", "0.6", "--length", "20", "--sigma", sigma)
         assert result.returncode == 1
@@ -141,6 +142,15 @@ class TestSynth:
         assert result.stderr.splitlines() == [
             f"error: need sigma > 0 and 2 * length * sigma^2 finite, got {float(sigma)}"
         ]
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_sigma_outside_zero_to_infinity_is_a_usage_error(self, capsys, sigma):
+        with pytest.raises(SystemExit) as stop:
+            main(["synth", "--hurst", "0.6", "--length", "20", "--sigma", sigma])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"argument --sigma: sigma must lie strictly inside (0, inf), got {sigma}"
+        )
 
     @pytest.mark.parametrize("date", ["20040105", "2004-W01-1"])
     def test_start_date_must_be_year_month_day(self, date):
@@ -474,6 +484,25 @@ class TestXcorr:
             "argument --level: significance level must lie strictly inside (0, 1), got 1"
         )
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_huge_grid_fails_at_the_first_scale_too_large(self, noise_csv, tmp_path, via):
+        # Built in full, this grid would need 745 GiB; under a 4 GiB address
+        # space limit only a grid cut to the series length gets to the check.
+        grid = "10:100000000000:1"
+        config = tmp_path / "run.conf"
+        config.write_text(f"grid = {grid}\n")
+        option = ["--grid", grid] if via == "flag" else ["--config", str(config)]
+        limit = (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "lrdkit", "xcorr", str(noise_csv), str(noise_csv),
+             "--method", "dcca", "--surrogates", "100", *option],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: scale must be an integer in [4, 300] for length 600, got 301\n"
+
     def test_grid_with_both_methods_rejected(self, noise_csv):
         result = run_cli(
             "xcorr", str(noise_csv), str(noise_csv),
@@ -658,7 +687,7 @@ class TestConfigFile:
         [
             "surrogates = 0", "seed = -1", "level = 1.5", "grid = 10:5:1",
             "format = xml", "block_size = 0", "overlap_days = 0", "start_date = 2004-13-01",
-            "sigma = wide", "floor = abc", "floor = -1",
+            "sigma = wide", "sigma = 0", "sigma = nan", "floor = abc", "floor = -1",
         ],
     )
     def test_invalid_value_is_a_usage_error(self, noise_csv, tmp_path, setting):

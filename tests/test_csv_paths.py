@@ -161,6 +161,9 @@ def with_examples(texts):
 @given(text=csv_texts("trends"))
 @with_examples([
     "date,value\n2004-01-01,1_000\n2004-01-02, 5 \n2004-01-03,１２\n",
+    "date,value\n2004-01-01, 5\n2004-01-02,1_000\n\n\n",
+    "date,value\n2004-01-01, 5\n\n2004-01-02,1_000\n",
+    "date,value\n2004-01-01, 5\n,\n2004-01-02,1_000\n",
     "date,value\n2004-01-01,5\n,\n\n2004-01-01,6\n",
     "date,value\n2004-01-01,1,2004-01-02\n3\n",
     "date,value\n2004-01-01,5\n2004-01-02,inf\n",
@@ -187,6 +190,9 @@ def test_trends_routes_agree(target, text):
         "2004-01-02,2,3,1,0,1\n",
         "2004-01-02,2,3,-1,2,1\n",
         "2004-01-01,2,3,1,2,1\n",
+        "2004-01-02,2,3,1,2,1\n\n\n",
+        "\n2004-01-02,2,3,1,2,1\n",
+        ",\n2004-01-02,2,3,1,2,1\n",
     ]
 )
 def test_ohlcv_routes_agree(target, text):
@@ -194,13 +200,28 @@ def test_ohlcv_routes_agree(target, text):
 
 
 class TestRoutes:
-    def test_plain_file_takes_the_column_path(self, tmp_path):
-        target = tmp_path / "plain.csv"
-        target.write_text("date,value\n2004-01-01, 5\n\n2004-01-02,1_000\n,\n")
-        with mock.patch.object(finance, "_read_rows", side_effect=AssertionError):
+    PLAIN = "date,value\n2004-01-01, 5\n2004-01-02,1_000\n"
+
+    def read_plain(self, target, text):
+        """Read ``text``, which holds the values of ``PLAIN``, and return how
+        often the row loop ran."""
+        target.write_text(text)
+        with mock.patch.object(finance, "_read_rows", wraps=finance._read_rows) as rows:
             series = read_series_csv(target, "trends")
         assert series.values.tolist() == [5.0, 1000.0]
         assert series.dates == (dt.date(2004, 1, 1), dt.date(2004, 1, 2))
+        return rows.call_count
+
+    def test_plain_file_takes_the_column_path(self, tmp_path):
+        assert self.read_plain(tmp_path / "plain.csv", self.PLAIN) == 0
+
+    def test_trailing_empty_lines_stay_on_the_column_path(self, tmp_path):
+        assert self.read_plain(tmp_path / "plain.csv", self.PLAIN + "\n\n") == 0
+
+    @pytest.mark.parametrize("blank", ["", ","], ids=["empty", "comma"])
+    def test_blank_line_mid_file_takes_the_row_loop(self, tmp_path, blank):
+        text = self.PLAIN.replace("\n2004-01-02", f"\n{blank}\n2004-01-02")
+        assert self.read_plain(tmp_path / "blank.csv", text) == 1
 
     def test_plain_bars_take_the_column_path(self, tmp_path):
         target = tmp_path / "prices.csv"
@@ -217,9 +238,9 @@ class TestRoutes:
     def test_plain_file_is_parsed_in_one_pass(self, tmp_path):
         target = tmp_path / "plain.csv"
         target.write_text("date,value\n2004-01-01,5\n2004-01-02,6\n")
-        with mock.patch.object(finance, "_parse_columns", wraps=finance._parse_columns) as parse:
+        with mock.patch.object(finance, "_read_columns", wraps=finance._read_columns) as columns:
             read_series_csv(target, "trends")
-        assert parse.call_count == 1
+        assert columns.call_count == 1
 
     @pytest.mark.parametrize("text", [
         'date,value\n2004-01-01,"5"\n2004-01-02,6\n',
@@ -228,9 +249,8 @@ class TestRoutes:
     def test_quoted_or_crlf_file_takes_the_row_loop(self, tmp_path, text):
         target = tmp_path / "odd.csv"
         target.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(finance, "_parse_columns", side_effect=AssertionError):
-            series = read_series_csv(target, "trends")
-        assert series.values.tolist() == [5.0, 6.0]
+        assert finance._read_columns(text, finance.TRENDS_HEADER) is None
+        assert read_series_csv(target, "trends").values.tolist() == [5.0, 6.0]
 
     def test_failing_check_falls_back_to_the_row_loop(self, tmp_path):
         target = tmp_path / "prices.csv"
