@@ -462,7 +462,9 @@ def _add_options(parser: argparse.ArgumentParser, handler, *keys: str) -> None:
     parser.set_defaults(handler=handler, options=keys)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse starts a new namespace."""
     parser = argparse.ArgumentParser(
         prog="lrdkit",
         description="Long-range dependence and scale-wise cross-correlation toolkit",
@@ -508,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _resolve_options(args)
         _emit(args.handler(args))

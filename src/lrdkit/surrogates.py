@@ -39,8 +39,9 @@ MIN_SURROGATES = 100
 # Every surrogate spawns a seed child of about 372 bytes before any work
 # starts, so larger counts are refused before the spawn.
 MAX_SURROGATES = 10**6
-# Surrogate pairs evaluated together. Larger chunks cost memory traffic
-# and resident memory without saving time.
+# Surrogate pairs evaluated together. With the stacked detrending kernel,
+# 16 pairs ran the T=2500 pair benchmark in 0.78x the time on a 2-vCPU VM
+# but raised its peak RSS from 52 to 57 MB (+9%), next to the 10% bound.
 CHUNK_SIZE = 8
 
 

@@ -503,6 +503,15 @@ class TestXcorr:
         assert result.returncode == 1
         assert result.stderr == "error: scale must be an integer in [4, 300] for length 600, got 301\n"
 
+    def test_grid_start_past_int64_fails_cleanly(self, noise_csv):
+        start = 10**23
+        result = run_cli(
+            "xcorr", str(noise_csv), str(noise_csv), "--method", "dcca",
+            "--grid", f"{start}:{start + 1}:1", "--surrogates", "100",
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: scale grid holds an entry outside the 64-bit range\n"
+
     def test_grid_with_both_methods_rejected(self, noise_csv):
         result = run_cli(
             "xcorr", str(noise_csv), str(noise_csv),
@@ -615,6 +624,17 @@ class TestVolatility:
             f"argument --floor: floor must lie strictly inside (0, inf), got {floor}"
         )
         assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
+
+    def test_floor_does_not_carry_into_the_next_call(self, bars_csv, tmp_path, capsys):
+        # main builds its parser once per process, so each call must still
+        # start from the defaults.
+        floors = []
+        for option in (["--floor", "0.5"], []):
+            assert main(["volatility", str(bars_csv), *option, "--out", str(tmp_path / "v")]) == 0
+            floors.append(json.loads(capsys.readouterr().out)["floor"])
+        assert floors[0] == {"log_variance": 0.5, "log_volume": 0.5}
+        assert floors[1]["log_volume"] == 0.9
+        assert floors[1]["log_variance"] < 0.5
 
     def test_writes_both_series(self, bars_csv, tmp_path):
         prefix = tmp_path / "djia"

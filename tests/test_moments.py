@@ -35,7 +35,7 @@ def valid_scale(method, length, share):
     return 3 + 2 * int(share * ((length // 2 - 3) // 2))
 
 
-profile_cases = given(
+profile_strategies = dict(
     method=st.sampled_from(["dcca", "dmca"]),
     length=st.integers(min_value=8, max_value=1024),
     share=st.floats(min_value=0.0, max_value=1.0),
@@ -44,6 +44,7 @@ profile_cases = given(
     offset=st.sampled_from([0.0, 1e3, -1e6, 1e6]) | st.floats(-1e6, 1e6),
     seed=st.integers(min_value=0, max_value=2**20),
 )
+profile_cases = given(**profile_strategies)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -71,3 +72,18 @@ def test_same_profiles_give_the_square_sums(method, length, share, h_x, h_y, off
     paired = _detrended_moments(px, px.copy(), scale, method)
     assert np.array_equal(sxy, sxx) and np.array_equal(syy, sxx)
     assert np.allclose(paired, sxx[None], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**{**profile_strategies, "length": st.integers(min_value=8, max_value=4096)})
+@example(method="dcca", length=4096, share=0.0, h_x=0.9, h_y=0.6, offset=1e6, seed=2)
+@example(method="dmca", length=4096, share=0.0, h_x=0.9, h_y=0.6, offset=1e6, seed=2)
+def test_paired_square_sums_equal_the_self_moments(method, length, share, h_x, h_y, offset, seed):
+    # The x and y rows are detrended as one stacked block; with two or more
+    # rows each (ROWS), every square sum is still the one of its rows alone.
+    scale = np.array([valid_scale(method, length, share)])
+    px = fgn_profiles(h_x, length, seed, offset)
+    py = fgn_profiles(h_y, length, seed + ROWS, -offset)
+    _, sxx, syy = _detrended_moments(px, py, scale, method)
+    assert np.array_equal(sxx, _detrended_moments(px, px, scale, method)[1])
+    assert np.array_equal(syy, _detrended_moments(py, py, scale, method)[1])

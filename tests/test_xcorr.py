@@ -178,6 +178,12 @@ class TestScanScales:
         with pytest.raises(InvalidInputError):
             scan_scales(x, y, "dcca", [10, 10, 20])
 
+    @pytest.mark.parametrize("scale", [10**23, -(2**63) - 1])
+    def test_grid_entry_outside_int64(self, pair, scale):
+        x, y = pair
+        with pytest.raises(InvalidInputError, match="outside the 64-bit range"):
+            scan_scales(x, y, "dcca", [scale])
+
     def test_degenerate_scales_named_in_error(self, pair):
         x, _ = pair
         const = np.full(400, 1.0)
