@@ -98,8 +98,16 @@ def _profile_values(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values - values.mean(axis=-1, keepdims=True), axis=-1)
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number; NaN and infinities are not."""
+    try:
+        return value == int(value)
+    except (ValueError, OverflowError):
+        return False
+
+
 def _check_scale(scale: int, n: int) -> None:
-    if scale != int(scale) or not 4 <= int(scale) <= n // 2:
+    if not _integral(scale) or not 4 <= scale <= n // 2:
         raise InvalidInputError(
             f"scale must be an integer in [4, {n // 2}] for length {n}, got {scale}"
         )
@@ -107,8 +115,15 @@ def _check_scale(scale: int, n: int) -> None:
 
 def _check_grid(scales, n: int, check=_check_scale) -> np.ndarray:
     """``scales`` as a strictly increasing integer array, each passing ``check``."""
+    entries = np.asarray(scales)
+    if entries.dtype.kind in "fO":
+        # A direct int64 cast would truncate 10.5 to 10, wrap 1e30 and fail on NaN.
+        for s in entries.flat:
+            if not _integral(s):
+                check(s, n)
+        entries = [int(s) for s in entries.flat]
     try:
-        grid = np.asarray(scales, dtype=np.int64)
+        grid = np.asarray(entries, dtype=np.int64)
     except OverflowError:
         raise InvalidInputError("scale grid holds an entry outside the 64-bit range") from None
     if grid.size == 0:
@@ -128,7 +143,8 @@ def _detrended_parts(profiles: np.ndarray, sums: np.ndarray | None, scale: int, 
     Otherwise ``sums`` are the rows' cumulative sums with a leading zero,
     giving the residuals against the centered moving average of odd window
     ``scale`` directly, with no trend part. The values are written to the
-    front of ``work``, a flat array of 2 * profiles.size values or more.
+    front of ``work``: 2 * profiles.size values for boxes, profiles.size
+    for windows.
     """
     k, n = profiles.shape
     if sums is not None:
@@ -150,7 +166,13 @@ def _detrended_parts(profiles: np.ndarray, sums: np.ndarray | None, scale: int, 
     return boxes.reshape(k, -1), boxes @ (positions / math.sqrt(positions @ positions))
 
 
-def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str):
+def _work_size(m: int, n: int) -> int:
+    """Length of the ``work`` array :func:`_detrended_moments` needs for m
+    stacked rows of length n: 2k for k pairs, k when ``py is px``."""
+    return 3 * m * n + m
+
+
+def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str, work=None):
     """Per-scale detrended sums Sxy, Sxx and Syy of paired profile rows.
 
     ``px`` and ``py`` have shape (k, n) and ``grid`` is validated for
@@ -164,19 +186,28 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
     are reduced over two rows, and einsum rounds rows past 8,192 values a
     few ulps apart in a batch (DCCA for T > 4,096, DMCA for T > 8,192).
     Returns the three stacked in that order, shape (3, k, grid.size);
-    passing ``py is px`` computes Sxx alone.
+    passing ``py is px`` computes Sxx alone. The large arrays are carved
+    from ``work`` (contents ignored), which a caller running many chunks
+    passes to fault its pages in only once.
     """
-    k = px.shape[0]
-    rows = px if py is px else np.concatenate([px, py])
+    k, n = px.shape
+    m = k if py is px else 2 * k
+    if work is None:
+        work = np.empty(_work_size(m, n))
+    # The per-scale values come first, then the stacked rows, then the sums.
+    front = (2 if method == "dcca" else 1) * m * n
+    stacked = work[front: front + m * n].reshape(m, n)
+    rows = px if py is px else np.concatenate([px, py], out=stacked)
     sums = None
     if method == "dmca":
         # A constant shift leaves the residuals unchanged but keeps the
         # cumulative sums, and so their rounding, small.
-        rows = rows - rows.mean(axis=1, keepdims=True)
-        sums = np.pad(rows, ((0, 0), (1, 0))).cumsum(axis=1)
+        rows = np.subtract(rows, rows.mean(axis=1, keepdims=True), out=stacked)
+        sums = work[front + m * n: front + m * (2 * n + 1)].reshape(m, n + 1)
+        sums[:, 0] = 0.0
+        sums[:, 1:] = rows
+        np.cumsum(sums, axis=1, out=sums)
     moments = np.empty((3, k, grid.size))
-    # One buffer for every scale, so its pages are faulted in once per call.
-    work = np.empty(2 * rows.size)
     # Overflowing sums (values near 1e300) leave inf - inf = NaN moments,
     # which the callers treat as degenerate; numpy need not warn about them.
     with np.errstate(invalid="ignore"):

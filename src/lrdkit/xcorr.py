@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import _check_grid, _check_scale, _detrended_moments, _profile_values
+from .dfa import _check_grid, _check_scale, _detrended_moments, _integral, _profile_values
 from .errors import DegenerateScaleError, InvalidInputError
 from .series import as_values
 
@@ -75,13 +75,12 @@ def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_window(window: int, n: int) -> None:
-    w = int(window)
-    if w != window or not 3 <= w <= n // 2:
+    if not _integral(window) or not 3 <= window <= n // 2:
         raise InvalidInputError(
             f"window must be an integer in [3, {n // 2}] for length {n}, got {window}"
         )
-    if w % 2 == 0:
-        raise InvalidInputError(f"window must be odd, got {w}")
+    if int(window) % 2 == 0:
+        raise InvalidInputError(f"window must be odd, got {int(window)}")
 
 
 def _coefficient(sxy, sxx, syy):
@@ -146,11 +145,12 @@ def _validate_grid(scales, method: str, n: int) -> np.ndarray:
     return _check_grid(scales, n, _check_scale if method == "dcca" else _check_window)
 
 
-def _coefficient_curves(xv: np.ndarray, yv: np.ndarray, grids: dict) -> list[np.ndarray]:
+def _coefficient_curves(xv: np.ndarray, yv: np.ndarray, grids: dict, work=None) -> list[np.ndarray]:
     """Coefficients over each method's validated grid for each row of ``xv``
-    and ``yv``, NaN at degenerate points. The profiles are taken once."""
+    and ``yv``, NaN at degenerate points. The profiles are taken once, and
+    every method detrends in the same ``work`` array."""
     px, py = _profile_values(xv), _profile_values(yv)
-    return [_coefficient(*_detrended_moments(px, py, grid, method)) for method, grid in grids.items()]
+    return [_coefficient(*_detrended_moments(px, py, grid, method, work)) for method, grid in grids.items()]
 
 
 def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:

@@ -103,6 +103,21 @@ class TestFluctuationFunction:
         with pytest.raises(InvalidInputError):
             fluctuation_function(x, [])
 
+    @pytest.mark.parametrize("entry", [10.5, float("nan")])
+    def test_non_integer_entry_rejected(self, entry):
+        # Converting the grid to integers first ran 10.5 as 10 and raised a
+        # bare ValueError on NaN.
+        x = np.random.default_rng(15).standard_normal(600)
+        with pytest.raises(InvalidInputError, match=f"scale must be an integer in .4, 300. for length 600, got {entry}"):
+            fluctuation_function(x, [entry, 20])
+
+    def test_integral_float_entries_accepted(self):
+        x = np.random.default_rng(16).standard_normal(600)
+        result = fluctuation_function(x, [10.0, 20.0])
+        expected = fluctuation_function(x, [10, 20])
+        assert result.scales.tolist() == [10, 20]
+        assert np.array_equal(result.values, expected.values)
+
 
 class TestHurst:
     def test_recovers_white_noise_exponent(self):

@@ -7,13 +7,17 @@ with several rows evaluated at once as in the surrogate chunks.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrdkit as lk
-from lrdkit.dfa import _detrended_moments
+from lrdkit.dfa import _detrended_moments, _work_size
+from lrdkit.surrogates import SurrogateConfig, _ensemble_significance
 
 from oracles import detrended_sums_exact
 
@@ -87,3 +91,58 @@ def test_paired_square_sums_equal_the_self_moments(method, length, share, h_x, h
     _, sxx, syy = _detrended_moments(px, py, scale, method)
     assert np.array_equal(sxx, _detrended_moments(px, px, scale, method)[1])
     assert np.array_equal(syy, _detrended_moments(py, py, scale, method)[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["dcca", "dmca"]),
+    k=st.sampled_from([1, 2, 8]),
+    length=st.integers(min_value=8, max_value=4097),
+    paired=st.booleans(),
+    spare=st.integers(min_value=0, max_value=10_000),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@example(method="dcca", k=8, length=4097, paired=True, spare=0, seed=3)
+@example(method="dmca", k=8, length=4097, paired=True, spare=0, seed=3)
+@example(method="dcca", k=1, length=4097, paired=False, spare=9_999, seed=4)
+@example(method="dmca", k=1, length=4097, paired=False, spare=9_999, seed=4)
+def test_dirty_scratch_changes_nothing(method, k, length, paired, spare, seed):
+    # The surrogate chunks reuse one scratch per thread, full of the last
+    # chunk's values and sized for the largest chunk; its contents must not
+    # leak into any moment, exactly.
+    rng = np.random.default_rng(seed)
+    px = np.cumsum(rng.standard_normal((k, length)), axis=1)
+    py = np.cumsum(rng.standard_normal((k, length)), axis=1) if paired else px
+    grid = np.unique([valid_scale(method, length, share) for share in (0.0, 0.1, 0.5, 1.0)])
+    fresh = _detrended_moments(px, py, grid, method)
+    work = np.full(_work_size(2 * k, length) + spare, np.nan)
+    for _ in range(2):
+        assert np.array_equal(_detrended_moments(px, py, grid, method, work), fresh)
+
+
+def ensemble_rho(length):
+    """Both methods' surrogate curves of one 100-pair ensemble, side by side."""
+    x, y = lk.generate_correlated_pair(0.9, 0.8, 0.5, length, seed=length)
+    results = _ensemble_significance(x, y, {"dcca": None, "dmca": None}, SurrogateConfig(100, seed=5))
+    return np.hstack([result.surrogate_rho for result in results.values()])
+
+
+FRESH_ENSEMBLE = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_moments import ensemble_rho
+np.save(sys.argv[3], ensemble_rho(int(sys.argv[2])))
+"""
+
+
+def test_back_to_back_ensembles_match_fresh_processes(tmp_path):
+    # The shorter run after the longer one must not see any of its scratch.
+    for length in (3000, 600):
+        path = tmp_path / f"rho_{length}.npy"
+        subprocess.run(
+            [sys.executable, "-c", FRESH_ENSEMBLE, str(Path(__file__).parent), str(length), str(path)],
+            check=True,
+            timeout=300,
+        )
+        assert np.array_equal(ensemble_rho(length), np.load(path))

@@ -1,5 +1,7 @@
 import datetime
+import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -166,6 +168,24 @@ class TestXcorrSignificance:
         chunks = -(-101 // CHUNK_SIZE)
         assert len(calls) == 2 * chunks
         assert sum(calls) == 2 * 101
+
+    def test_scratch_is_one_per_thread_and_freed_on_return(self, monkeypatch):
+        seen = []
+        curves = surrogates._coefficient_curves
+
+        def recording_curves(xv, yv, grids, work=None):
+            if work is not None:
+                seen.append((threading.get_ident(), id(work), weakref.ref(work)))
+            return curves(xv, yv, grids, work)
+
+        monkeypatch.setattr(surrogates, "_coefficient_curves", recording_curves)
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: 2)
+        x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 512, seed=8)
+        xcorr_significance(x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100))
+        assert len(seen) == -(-100 // CHUNK_SIZE)
+        threads = {thread for thread, _, _ in seen}
+        assert len({(thread, scratch) for thread, scratch, _ in seen}) == len(threads) <= 2
+        assert all(ref() is None for _, _, ref in seen)
 
     @pytest.mark.parametrize("method", ["dcca", "dmca"])
     def test_chunks_match_one_pair_at_a_time(self, method):

@@ -178,11 +178,32 @@ class TestScanScales:
         with pytest.raises(InvalidInputError):
             scan_scales(x, y, "dcca", [10, 10, 20])
 
-    @pytest.mark.parametrize("scale", [10**23, -(2**63) - 1])
+    @pytest.mark.parametrize("scale", [10**23, -(2**63) - 1, 1e30, -1e19])
     def test_grid_entry_outside_int64(self, pair, scale):
         x, y = pair
         with pytest.raises(InvalidInputError, match="outside the 64-bit range"):
             scan_scales(x, y, "dcca", [scale])
+
+    @pytest.mark.parametrize(
+        ("method", "grid", "message"),
+        [
+            ("dcca", [10.5, 20], "scale must be an integer in .4, 200. for length 400, got 10.5"),
+            ("dcca", [10, float("nan")], "scale must be an integer in .4, 200. for length 400, got nan"),
+            ("dmca", [11.5, 21], "window must be an integer in .3, 200. for length 400, got 11.5"),
+            ("dmca", [float("nan")], "window must be an integer in .3, 200. for length 400, got nan"),
+        ],
+    )
+    def test_non_integer_grid_entry(self, pair, method, grid, message):
+        x, y = pair
+        with pytest.raises(InvalidInputError, match=message):
+            scan_scales(x, y, method, grid)
+
+    @pytest.mark.parametrize(("method", "grid"), [("dcca", [10, 20]), ("dmca", [11, 21])])
+    def test_integral_float_grid_matches_integers(self, pair, method, grid):
+        x, y = pair
+        floats = scan_scales(x, y, method, [float(s) for s in grid])
+        assert floats.scales.tolist() == grid
+        assert np.array_equal(floats.rho, scan_scales(x, y, method, grid).rho)
 
     def test_degenerate_scales_named_in_error(self, pair):
         x, _ = pair
