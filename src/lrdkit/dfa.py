@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import as_values
+from .series import _integral, as_values
 
 __all__ = [
     "DEFAULT_MIN_SCALE",
@@ -96,14 +96,6 @@ def decade_scale_grid(min_scale: int, max_scale: int, step: float = 0.1) -> np.n
 def _profile_values(values: np.ndarray) -> np.ndarray:
     """Cumulative sum of the demeaned values along the last axis."""
     return np.cumsum(values - values.mean(axis=-1, keepdims=True), axis=-1)
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is a whole number; NaN and infinities are not."""
-    try:
-        return value == int(value)
-    except (ValueError, OverflowError):
-        return False
 
 
 def _check_scale(scale: int, n: int) -> None:

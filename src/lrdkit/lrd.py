@@ -26,7 +26,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidInputError,
 )
-from .series import _lo_bandwidth, _row_statistics, as_values
+from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, as_values
 from .surrogates import MAX_SURROGATES
 
 __all__ = [
@@ -65,8 +65,7 @@ class LrdTestResult:
 
 def _observed(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
     """Both statistics of one series, and its bandwidth (automatic if None)."""
-    if bandwidth is not None and not 0 <= bandwidth < values.size:
-        raise InvalidInputError(f"bandwidth must lie in [0, {values.size - 1}], got {bandwidth}")
+    bandwidth = None if bandwidth is None else _lag(bandwidth, values.size)
     statistics, bandwidth, degenerate = _row_statistics(values, bandwidth)
     if degenerate:
         raise DegenerateVarianceError(
@@ -223,6 +222,9 @@ def bootstrap_lrd_tests(
 
     Returns a dict keyed by test kind.
     """
+    block_size = _as_int(block_size, "block size")
+    n_surrogates = _as_int(n_surrogates, "surrogate count")
+    seed = _as_int(seed, "seed")
     values = as_values(series, min_length=2)
     n = values.size
     if block_size < 1:

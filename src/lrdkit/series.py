@@ -121,45 +121,44 @@ def as_values(series, min_length: int = 1) -> np.ndarray:
     return values
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number; NaN, infinities and non-numbers
+    are not."""
+    try:
+        return value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int, refused unless a whole number. A whole float
+    such as 3.0 is taken as 3, as a scale grid entry is."""
+    if not _integral(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _lag(value, n: int, name: str = "bandwidth") -> int:
+    """``value`` as an int lag in [0, n - 1]: a single lag or a bandwidth."""
+    if not _integral(value) or not 0 <= value < n:
+        raise InvalidInputError(f"{name} must be an integer in [0, {n - 1}], got {value}")
+    return int(value)
+
+
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocovariances at lags 0..max_lag of an already centered array.
-
-    Every lag divides by the full length. Short bandwidths use direct dot
-    products; longer ones go through one FFT round trip.
-    """
-    n = centered.size
-    if max_lag <= 32:
-        out = np.empty(max_lag + 1)
-        out[0] = centered @ centered
-        for k in range(1, max_lag + 1):
-            out[k] = centered[:-k] @ centered[k:]
-        return out / n
-    m = _fft_length(n + max_lag)
-    spectrum = np.fft.rfft(centered, m)
-    spectrum *= spectrum.conj()
-    return np.fft.irfft(spectrum, m)[: max_lag + 1] / n
-
-
-def _fft_length(size: int) -> int:
-    """Smallest 2^a 3^b 5^c at least ``size``; such FFTs are the fastest."""
-    best = 1 << (size - 1).bit_length()
-    odd = 1
-    while odd < best:
-        factor = odd
-        while factor < best:
-            best = min(best, factor << (-(-size // factor) - 1).bit_length())
-            factor *= 3
-        odd *= 5
-    return best
+    """Autocovariances at lags 0..max_lag of an already centered array, by
+    direct dot products; every lag divides by the full length."""
+    out = np.empty(max_lag + 1)
+    out[0] = centered @ centered
+    for k in range(1, max_lag + 1):
+        out[k] = centered[:-k] @ centered[k:]
+    return out / centered.size
 
 
 def autocovariance(series, lag: int) -> float:
     """Sample autocovariance at a single lag, divisor equal to the length."""
     x = as_values(series, min_length=2)
-    if not 0 <= lag < x.size:
-        raise InvalidInputError(
-            f"lag must lie in [0, {x.size - 1}], got {lag}"
-        )
+    lag = _lag(lag, x.size, "lag")
     centered = x - x.mean()
     if lag == 0:
         return float(centered @ centered) / x.size
@@ -217,16 +216,13 @@ def hac_variance(series, bandwidth: int) -> HacVariance:
     Raises
     ------
     InvalidInputError
-        If the bandwidth falls outside [0, T - 1].
+        If the bandwidth is not an integer in [0, T - 1].
     DegenerateVarianceError
         If the weighted sum is zero, negative or not finite, e.g. for a
         constant series at any bandwidth.
     """
     x = as_values(series, min_length=2)
-    if not 0 <= bandwidth < x.size:
-        raise InvalidInputError(
-            f"bandwidth must lie in [0, {x.size - 1}], got {bandwidth}"
-        )
+    bandwidth = _lag(bandwidth, x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         s2, gamma0 = _long_run_variance(x - x.mean(), bandwidth)
     if not (np.isfinite(s2) and s2 > 0.0):

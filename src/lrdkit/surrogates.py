@@ -26,7 +26,7 @@ import numpy as np
 
 from .dfa import _work_size
 from .errors import InvalidInputError
-from .series import TimeSeries, as_values
+from .series import TimeSeries, _as_int, as_values
 from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _validate_grid, _validate_pair
 
 __all__ = [
@@ -53,13 +53,16 @@ class SurrogateConfig:
     """Ensemble parameters for surrogate-based p-values.
 
     Fewer than ``MIN_SURROGATES`` would make the reported p-values too coarse
-    and are rejected, as are more than ``MAX_SURROGATES`` and negative seeds.
+    and are rejected, as are more than ``MAX_SURROGATES``, negative seeds and
+    counts or seeds that are not whole numbers; 3.0 is taken as 3.
     """
 
     n_surrogates: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_surrogates", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not MIN_SURROGATES <= self.n_surrogates <= MAX_SURROGATES:
             raise InvalidInputError(
                 f"need {MIN_SURROGATES} to {MAX_SURROGATES} surrogates for p-values, got {self.n_surrogates}"

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ComputationAbortedError, InvalidInputError
-from .series import TimeSeries
+from .series import TimeSeries, _as_int
 
 __all__ = [
     "FgnSpec",
@@ -37,9 +37,10 @@ _EIGENVALUE_TOLERANCE = 1e-8
 class FgnSpec:
     """Parameters of one fractional Gaussian noise draw.
 
-    ``h`` lies strictly inside (0, 1), ``length`` is at least 16,
-    ``seed`` is non-negative, and ``sigma`` is the positive standard
-    deviation of the marginals.
+    ``h`` lies strictly inside (0, 1), ``length`` is an integer of at least
+    16, ``seed`` is a non-negative integer, and ``sigma`` is the positive
+    standard deviation of the marginals. A whole float such as 3.0 is taken
+    as 3.
     """
 
     h: float
@@ -48,6 +49,8 @@ class FgnSpec:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("length", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not 0.0 < self.h < 1.0:
             raise InvalidInputError(
                 f"hurst exponent must lie strictly inside (0, 1), got {self.h}"
@@ -143,6 +146,7 @@ def generate_correlated_pair(
         raise InvalidInputError(f"rho must lie in [-1, 1], got {rho}")
     spec_x = FgnSpec(h=h1, length=length, seed=seed, sigma=sigma)
     spec_y = FgnSpec(h=h2, length=length, seed=seed, sigma=sigma)
+    length, seed = spec_x.length, spec_x.seed
     eig_x = _embedding_eigenvalues(spec_x.h, length, sigma)
     eig_y = _embedding_eigenvalues(spec_y.h, length, sigma)
     child_x, child_y = np.random.SeedSequence(seed).spawn(2)

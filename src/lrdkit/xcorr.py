@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import _check_grid, _check_scale, _detrended_moments, _integral, _profile_values
+from .dfa import _check_grid, _check_scale, _detrended_moments, _profile_values
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import as_values
+from .series import _integral, as_values
 
 __all__ = [
     "DCCA_DEFAULT_SCALES",

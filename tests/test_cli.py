@@ -677,6 +677,27 @@ class TestChain:
         assert lines[-1].startswith("2020-01-15,")
 
 
+class TestByteOrderMark:
+    # A UTF-8 byte order mark is not stripped: it stays part of the first
+    # header name or config key, which then fails its check.
+    @pytest.mark.parametrize("kind", ["csv header", "config key"])
+    def test_is_refused(self, tmp_path, kind):
+        bom = b"\xef\xbb\xbf"
+        if kind == "csv header":
+            path = tmp_path / "a.csv"
+            path.write_bytes(bom + b"date,value\n2021-01-01,1\n2021-01-02,2\n")
+            result = run_cli("chain", str(path))
+            expected = 1, f"error: {path}:1: expected header 'date,value', got '\\ufeffdate,value'"
+        else:
+            path = tmp_path / "run.conf"
+            path.write_bytes(bom + b"seed = 1\n")
+            result = run_cli("synth", "--hurst", "0.6", "--length", "32", "--config", str(path))
+            expected = 2, f"usage error: {path}:1: unknown key '\\ufeffseed'"
+        assert (result.returncode, *result.stderr.splitlines()) == expected
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
+
 class TestConfigFile:
     def test_config_matches_flags(self, noise_csv, tmp_path):
         config = tmp_path / "run.conf"

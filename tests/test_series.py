@@ -3,10 +3,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import lrdkit as lk
 from lrdkit.errors import DegenerateVarianceError, InvalidInputError
 from lrdkit.series import (
     TimeSeries,
-    _autocovariances,
     as_values,
     auto_bandwidth,
     auto_bandwidth_value,
@@ -92,19 +92,6 @@ class TestAutocovariance:
                 autocov_naive(x, lag), rel=1e-12
             )
 
-    def test_fft_branch_matches_direct_branch(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            n = int(rng.integers(80, 2000))
-            x = rng.standard_normal(n)
-            centered = x - x.mean()
-            max_lag = int(rng.integers(33, min(n - 1, 300)))
-            via_fft = _autocovariances(centered, max_lag)
-            direct = np.array(
-                [float(centered[: n - k] @ centered[k:]) / n for k in range(max_lag + 1)]
-            )
-            np.testing.assert_allclose(via_fft, direct, rtol=1e-9, atol=1e-12)
-
 
 class TestHacVariance:
     def test_bandwidth_zero_reduces_to_variance(self):
@@ -128,7 +115,7 @@ class TestHacVariance:
     def test_matches_naive(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(300)
-        for q in (0, 1, 5, 40):
+        for q in (0, 1, 5, 33, 40, 299):
             assert hac_variance(x, q).long_run_variance == pytest.approx(
                 hac_naive(x, q), rel=1e-10
             )
@@ -183,3 +170,40 @@ class TestAutoBandwidth:
         q = auto_bandwidth(x)
         assert auto_bandwidth(3.5 * x + 11.0) == q
         assert auto_bandwidth(-2.0 * x + 1.0) == q
+
+
+def _noise(n=200):
+    return np.random.default_rng(6).standard_normal(n)
+
+
+# Each integer parameter of the numeric API: a call that passes it, and a
+# value it accepts. Arrays come back as lists, so that repr compares them
+# exactly.
+INTEGER_PARAMETERS = {
+    "autocovariance-lag": (lambda v: autocovariance(_noise(), v), 2),
+    "hac_variance-bandwidth": (lambda v: hac_variance(_noise(), v), 3),
+    "rescaled_range_statistic-bandwidth": (lambda v: lk.rescaled_range_statistic(_noise(), v), 3),
+    "rescaled_variance_statistic-bandwidth": (lambda v: lk.rescaled_variance_statistic(_noise(), v), 3),
+    "bootstrap_lrd_tests-block_size": (lambda v: lk.bootstrap_lrd_tests(_noise(), block_size=v, n_surrogates=10), 25),
+    "bootstrap_lrd_tests-n_surrogates": (lambda v: lk.bootstrap_lrd_tests(_noise(), n_surrogates=v), 10),
+    "bootstrap_lrd_tests-seed": (lambda v: lk.bootstrap_lrd_tests(_noise(), n_surrogates=10, seed=v), 1),
+    "FgnSpec-length": (lambda v: lk.generate_fgn(lk.FgnSpec(0.7, v, 1)).values.tolist(), 20),
+    "FgnSpec-seed": (lambda v: lk.generate_fgn(lk.FgnSpec(0.7, 20, v)).values.tolist(), 1),
+    "SurrogateConfig-n_surrogates": (
+        lambda v: lk.xcorr_significance(_noise(), _noise()[::-1], "dcca", config=lk.SurrogateConfig(v, 1)).p_values.tolist(),
+        100,
+    ),
+    "SurrogateConfig-seed": (
+        lambda v: lk.xcorr_significance(_noise(), _noise()[::-1], "dcca", config=lk.SurrogateConfig(100, v)).p_values.tolist(),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_integer_parameter_refuses_non_integers_and_takes_whole_floats(name):
+    call, whole = INTEGER_PARAMETERS[name]
+    for value in (whole + 0.5, float("nan"), float("inf"), str(whole)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            call(value)
+    assert repr(call(float(whole))) == repr(call(whole))
