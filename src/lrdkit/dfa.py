@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import _integral, as_values
+from .series import _as_int, _integral, as_values
 
 __all__ = [
     "DEFAULT_MIN_SCALE",
@@ -67,30 +67,41 @@ def decade_scale_grid(min_scale: int, max_scale: int, step: float = 0.1) -> np.n
 
     Walks exponents from log10(min_scale) upward while they do not exceed
     log10(max_scale) and floors 10**e at each step. Consecutive collisions
-    collapse, so the result is strictly increasing.
+    collapse, so the result is strictly increasing. The bounds must be
+    whole numbers (10.0 counts as 10), the step positive and finite, and
+    the walk at most 10**6 exponents long.
     """
+    min_scale = _as_int(min_scale, "minimum scale")
+    max_scale = _as_int(max_scale, "maximum scale")
     if min_scale < 4:
         raise InvalidInputError(f"minimum scale must be at least 4, got {min_scale}")
     if max_scale < min_scale:
         raise InvalidInputError(
             f"maximum scale {max_scale} is below minimum scale {min_scale}"
         )
-    if step <= 0:
-        raise InvalidInputError("step must be positive")
+    if not 0 < step < math.inf:
+        raise InvalidInputError(f"step must be positive and finite, got {step}")
     start = math.log10(min_scale)
     stop = math.log10(max_scale)
+    if (stop + 1e-12 - start) / step > 10**6:
+        raise InvalidInputError(
+            f"a step of {step} decades from {min_scale} to {max_scale} walks more than 10**6 exponents"
+        )
     scales: list[int] = []
     k = 0
-    while True:
-        exponent = start + k * step
-        if exponent > stop + 1e-12:
-            break
-        raw = 10.0 ** exponent
-        scale = int(math.floor(raw + 1e-9 * max(1.0, raw)))
-        if not scales or scale != scales[-1]:
-            scales.append(scale)
-        k += 1
-    return np.asarray(scales, dtype=int)
+    try:
+        while True:
+            exponent = start + k * step
+            if exponent > stop + 1e-12:
+                break
+            raw = 10.0 ** exponent
+            scale = int(math.floor(raw + 1e-9 * max(1.0, raw)))
+            if not scales or scale != scales[-1]:
+                scales.append(scale)
+            k += 1
+        return np.asarray(scales, dtype=int)
+    except OverflowError:
+        raise InvalidInputError("scale grid holds an entry outside the 64-bit range") from None
 
 
 def _profile_values(values: np.ndarray) -> np.ndarray:
@@ -259,17 +270,20 @@ def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None 
     series : TimeSeries or array_like
         At least ``5 * min_scale`` observations.
     min_scale, max_scale : int
-        Grid bounds. ``max_scale`` defaults to min(500, T // 5).
+        Grid bounds, whole numbers. ``max_scale`` defaults to
+        min(500, T // 5).
 
     Raises
     ------
     InvalidInputError
-        If the series is too short or the grid holds fewer than 5 scales.
+        If a bound is not a whole number, the series is too short or the
+        grid holds fewer than 5 scales.
     DegenerateScaleError
         If zero-fluctuation scales leave fewer than 5 usable points.
     """
     x = as_values(series, min_length=8)
     n = x.size
+    min_scale = _as_int(min_scale, "minimum scale")
     if n < 5 * min_scale:
         raise InvalidInputError(
             f"need at least {5 * min_scale} observations for min_scale {min_scale}, got {n}"

@@ -30,7 +30,7 @@ from .errors import (
     InvalidBarError,
     InvalidInputError,
 )
-from .series import TimeSeries, _increasing
+from .series import TimeSeries, _as_int, _increasing
 
 __all__ = [
     "OhlcvBar",
@@ -221,14 +221,16 @@ def chain_segments(segments, overlap_days: int) -> TimeSeries:
     Raises
     ------
     InvalidInputError
-        On a date gap, insufficient overlap, or a segment that does not
-        extend the chained range.
+        On a date gap, insufficient overlap, a segment that does not
+        extend the chained range, or an ``overlap_days`` that is not a
+        whole number (3.0 counts as 3).
     DegenerateOverlapError
         When a later segment's overlap mean is zero.
     """
     segments = list(segments)
     if not segments:
         raise InvalidInputError("no segments to chain")
+    overlap_days = _as_int(overlap_days, "overlap_days")
     if overlap_days < 1:
         raise InvalidInputError(f"overlap_days must be positive, got {overlap_days}")
     first = segments[0]

@@ -42,6 +42,30 @@ class TestScaleGrid:
         with pytest.raises(InvalidInputError):
             decade_scale_grid(20, 10)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, match",
+        [
+            ((10, 100), {"step": 1e-300}, "more than 10\\*\\*6 exponents"),
+            ((10, 10), {"step": 1e-300}, "more than 10\\*\\*6 exponents"),
+            ((float("nan"), 100), {}, "minimum scale must be an integer"),
+            ((10.5, 100), {}, "minimum scale must be an integer"),
+            ((10, 100), {"step": float("nan")}, "step must be positive and finite"),
+            ((10, 100), {"step": float("inf")}, "step must be positive and finite"),
+            ((10, 100), {"step": 0.0}, "step must be positive and finite"),
+            ((10, float("inf")), {}, "maximum scale must be an integer"),
+            ((10, 10**400), {}, "outside the 64-bit range"),
+            ((2**63 - 1, 2**63 - 1), {}, "outside the 64-bit range"),
+        ],
+        ids=["tiny-step", "tiny-step-one-scale", "nan-min", "fractional-min", "nan-step",
+             "inf-step", "zero-step", "inf-max", "max-past-float", "max-at-int64"],
+    )
+    def test_bad_bounds_and_steps_refused(self, args, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            decade_scale_grid(*args, **kwargs)
+
+    def test_whole_float_bounds_run_as_ints(self):
+        assert decade_scale_grid(10.0, 500.0).tolist() == decade_scale_grid(10, 500).tolist()
+
 
 class TestFluctuation:
     def test_sawtooth_hand_value(self):
@@ -163,6 +187,24 @@ class TestHurst:
         x = np.random.default_rng(18).standard_normal(200)
         with pytest.raises(InvalidInputError):
             dfa_hurst(x, min_scale=10, max_scale=15)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"min_scale": 10.5}, "minimum scale must be an integer, got 10.5"),
+            ({"max_scale": float("inf")}, "maximum scale must be an integer, got inf"),
+        ],
+        ids=["fractional-min", "inf-max"],
+    )
+    def test_fractional_or_infinite_bounds_refused(self, kwargs, match):
+        # min_scale=10.5 used to fit from scale 10 without a word.
+        x = np.random.default_rng(18).standard_normal(1000)
+        with pytest.raises(InvalidInputError, match=match):
+            dfa_hurst(x, **kwargs)
+
+    def test_whole_float_bounds_fit_as_ints(self):
+        x = np.random.default_rng(18).standard_normal(1000)
+        assert dfa_hurst(x, min_scale=10.0, max_scale=150.0).h == dfa_hurst(x, max_scale=150).h
 
     def test_constant_series_degenerate(self):
         with pytest.warns(UserWarning):

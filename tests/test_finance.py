@@ -307,6 +307,23 @@ class TestChainSegments:
         with pytest.raises(InvalidInputError):
             chain_segments([first], overlap_days=0)
 
+    @pytest.mark.parametrize("overlap_days", [2.5, 5.5, float("nan")])
+    def test_fractional_overlap_refused(self, overlap_days):
+        # Two 10-day segments sharing 5 days: 2.5 used to chain them, and
+        # 5.5 failed only on the overlap count.
+        first = daily_segment(dt.date(2020, 1, 1), [10.0] * 10)
+        second = daily_segment(dt.date(2020, 1, 6), [20.0] * 10)
+        with pytest.raises(InvalidInputError, match="overlap_days must be an integer"):
+            chain_segments([first, second], overlap_days)
+
+    def test_whole_float_overlap_runs_as_int(self):
+        first = daily_segment(dt.date(2020, 1, 1), [10.0] * 10)
+        second = daily_segment(dt.date(2020, 1, 6), [20.0] * 10)
+        chained = chain_segments([first, second], 3.0)
+        expected = chain_segments([first, second], 3)
+        assert np.array_equal(chained.values, expected.values)
+        assert chained.dates == expected.dates
+
     def test_zero_overlap_mean_degenerate(self):
         first = daily_segment(dt.date(2020, 1, 1), [10.0] * 10)
         second = daily_segment(

@@ -170,22 +170,77 @@ class TestXcorrSignificance:
         assert sum(calls) == 2 * 101
 
     def test_scratch_is_one_per_thread_and_freed_on_return(self, monkeypatch):
-        seen = []
-        curves = surrogates._coefficient_curves
+        seen, drawn = [], []
+        curves, draw = surrogates._coefficient_curves, surrogates._draw
 
         def recording_curves(xv, yv, grids, work=None):
             if work is not None:
                 seen.append((threading.get_ident(), id(work), weakref.ref(work)))
             return curves(xv, yv, grids, work)
 
+        def recording_draw(rng, gaussian, phases):
+            # Each pair's rows are views into the thread's draw buffers.
+            for buffer in (gaussian.base, phases.base):
+                drawn.append((threading.get_ident(), id(buffer), weakref.ref(buffer)))
+            return draw(rng, gaussian, phases)
+
         monkeypatch.setattr(surrogates, "_coefficient_curves", recording_curves)
+        monkeypatch.setattr(surrogates, "_draw", recording_draw)
         monkeypatch.setattr(surrogates, "_cpu_count", lambda: 2)
         x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 512, seed=8)
         xcorr_significance(x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100))
         assert len(seen) == -(-100 // CHUNK_SIZE)
+        assert len(drawn) == 2 * 100
         threads = {thread for thread, _, _ in seen}
         assert len({(thread, scratch) for thread, scratch, _ in seen}) == len(threads) <= 2
-        assert all(ref() is None for _, _, ref in seen)
+        assert len({(thread, buffer) for thread, buffer, _ in drawn}) == 2 * len(threads)
+        assert all(ref() is None for _, _, ref in seen + drawn)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        # 101 leaves a short last chunk of 2 or 5 pairs, never a single pair.
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 512, seed=15)
+        config = SurrogateConfig(n_surrogates=101, seed=11)
+        grids = {"dcca": [10, 40, 120], "dmca": [11, 41, 121]}
+        runs = []
+        for chunk_size in (3, 8, 16):
+            monkeypatch.setattr(surrogates, "CHUNK_SIZE", chunk_size)
+            for cpus in (1, 2):
+                monkeypatch.setattr(surrogates, "_cpu_count", lambda: cpus)
+                result = _ensemble_significance(x, y, grids, config)
+                runs.append(np.stack([result[method].surrogate_rho for method in grids]))
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_buffered_draws_match_stacked_draws(self, monkeypatch, cpus):
+        # The ensemble as built before the per-thread draw buffers: a list of
+        # per-pair draws, stacked per chunk, and the source's ranks per chunk.
+        def aaft(values, gaussian, phases):
+            ranked = np.empty_like(gaussian)
+            ranked[:, values.argsort()] = np.sort(gaussian, axis=1)
+            order = _phase_randomize(ranked, phases).argsort(axis=1)
+            out = np.empty_like(ranked)
+            np.put_along_axis(out, order, np.sort(values)[None, :], axis=1)
+            return out
+
+        def draw(rng, n):
+            return rng.standard_normal(n), rng.uniform(0.0, 2.0 * np.pi, n // 2 + 1)
+
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 512, seed=16)
+        xv, yv = x.values, y.values
+        grids = {"dcca": np.array([10, 40, 120]), "dmca": np.array([11, 41, 121])}
+        # 101 pairs: full chunks, then a short one on buffers a full chunk filled.
+        assert 101 % CHUNK_SIZE > 1
+        children = np.random.SeedSequence(12).spawn(101)
+        chunks = []
+        for start in range(0, 101, CHUNK_SIZE):
+            rngs = map(np.random.default_rng, children[start: start + CHUNK_SIZE])
+            draws = [draw(rng, xv.size) + draw(rng, yv.size) for rng in rngs]
+            gx, phx, gy, phy = (np.stack(d) for d in zip(*draws))
+            chunks.append(surrogates._coefficient_curves(aaft(xv, gx, phx), aaft(yv, gy, phy), grids))
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: cpus)
+        result = _ensemble_significance(x, y, grids, SurrogateConfig(n_surrogates=101, seed=12))
+        for method, rows in zip(grids, zip(*chunks)):
+            assert np.array_equal(result[method].surrogate_rho, np.vstack(rows)), method
 
     @pytest.mark.parametrize("method", ["dcca", "dmca"])
     def test_chunks_match_one_pair_at_a_time(self, method):
