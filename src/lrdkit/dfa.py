@@ -66,8 +66,9 @@ def decade_scale_grid(min_scale: int, max_scale: int, step: float = 0.1) -> np.n
     """Integer scales spaced ``step`` decades apart, duplicates removed.
 
     Walks exponents from log10(min_scale) upward while they do not exceed
-    log10(max_scale) and floors 10**e at each step. Consecutive collisions
-    collapse, so the result is strictly increasing. The bounds must be
+    log10(max_scale) and floors 10**e at each step, capped at max_scale.
+    Consecutive collisions collapse, so the result is strictly increasing
+    and never passes max_scale. The bounds must be
     whole numbers (10.0 counts as 10), the step positive and finite, and
     the walk at most 10**6 exponents long.
     """
@@ -95,7 +96,9 @@ def decade_scale_grid(min_scale: int, max_scale: int, step: float = 0.1) -> np.n
             if exponent > stop + 1e-12:
                 break
             raw = 10.0 ** exponent
-            scale = int(math.floor(raw + 1e-9 * max(1.0, raw)))
+            # The relative nudge absorbs 10**e landing just below an integer;
+            # past 10**9 it exceeds 1, so the cap keeps it within max_scale.
+            scale = min(int(math.floor(raw + 1e-9 * max(1.0, raw))), max_scale)
             if not scales or scale != scales[-1]:
                 scales.append(scale)
             k += 1

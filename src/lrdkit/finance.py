@@ -424,12 +424,38 @@ def read_series_csv(path, schema: str):
 
 
 def series_csv_text(series: TimeSeries) -> str:
-    """A dated series as ``date,value`` CSV text with full precision."""
+    """A dated series as ``date,value`` CSV text with full precision.
+
+    Each row is the date's ``isoformat`` and the value as
+    :func:`format_float` renders it. The dates are written as one digit
+    grid and all rows are formatted in one call.
+    """
     if series.dates is None:
         raise InvalidInputError(f"series {series.label!r} has no dates to write")
-    # The bytes of format_float, in one pass over all rows.
-    rows = zip(map(dt.date.isoformat, series.dates), series.values.tolist())
-    return ",".join(TRENDS_HEADER) + "\n" + "".join(map("%s,%.17g\n".__mod__, rows))
+    n = len(series.dates)
+    # Date ordinals count from 1 on 0001-01-01.
+    ordinals = np.fromiter(map(dt.date.toordinal, series.dates), np.int64, n)
+    days = np.datetime64("0000-12-31") + ordinals
+    months = days.astype("datetime64[M]")
+    years = days.astype("datetime64[Y]")
+    ymd = (
+        (years.astype(np.int64) + 1970) * 10000
+        + (months - years).astype(np.int64) * 100
+        + (days - months).astype(np.int64)
+        + 101
+    )
+    # The YYYYMMDD digits fill the digit slots of one _DATE_SHAPE row per
+    # date, last digit first; the grid's text split on its commas gives
+    # each date's isoformat.
+    grid = np.tile(_DATE_SHAPE, (n, 1))
+    for slot in np.flatnonzero(_DATE_SHAPE == ord("0"))[::-1]:
+        ymd, digit = np.divmod(ymd, 10)
+        grid[:, slot] += digit.astype(np.uint8)
+    rows = [None] * (2 * n)
+    rows[::2] = grid.tobytes().decode("ascii").split(",")[:n]
+    rows[1::2] = series.values.tolist()
+    # %.17g gives the bytes of format_float.
+    return ",".join(TRENDS_HEADER) + "\n" + ("%s,%.17g\n" * n) % tuple(rows)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:

@@ -18,6 +18,18 @@ from oracles import dfa_fluct_naive
 SAWTOOTH_F4 = 0.4472135954999579
 
 
+def uncapped_grid(min_scale, max_scale, step=0.1):
+    """The decade walk of decade_scale_grid with no cap at max_scale."""
+    scales, stop, k = [], math.log10(max_scale), 0
+    while (exponent := math.log10(min_scale) + k * step) <= stop + 1e-12:
+        raw = 10.0 ** exponent
+        scale = int(math.floor(raw + 1e-9 * max(1.0, raw)))
+        if not scales or scale != scales[-1]:
+            scales.append(scale)
+        k += 1
+    return scales
+
+
 class TestScaleGrid:
     def test_default_grid_values(self):
         expected = [10, 12, 15, 19, 25, 31, 39, 50, 63, 79,
@@ -54,10 +66,10 @@ class TestScaleGrid:
             ((10, 100), {"step": 0.0}, "step must be positive and finite"),
             ((10, float("inf")), {}, "maximum scale must be an integer"),
             ((10, 10**400), {}, "outside the 64-bit range"),
-            ((2**63 - 1, 2**63 - 1), {}, "outside the 64-bit range"),
+            ((2**63, 2**63), {}, "outside the 64-bit range"),
         ],
         ids=["tiny-step", "tiny-step-one-scale", "nan-min", "fractional-min", "nan-step",
-             "inf-step", "zero-step", "inf-max", "max-past-float", "max-at-int64"],
+             "inf-step", "zero-step", "inf-max", "max-past-float", "max-past-int64"],
     )
     def test_bad_bounds_and_steps_refused(self, args, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
@@ -65,6 +77,36 @@ class TestScaleGrid:
 
     def test_whole_float_bounds_run_as_ints(self):
         assert decade_scale_grid(10.0, 500.0).tolist() == decade_scale_grid(10, 500).tolist()
+
+    @pytest.mark.parametrize(
+        "bounds, tail",
+        [
+            ((10, 10**12), [794328235518, 10**12]),
+            ((10**12, 10**12), [10**12]),
+            ((999_999_999, 999_999_999), [999_999_999]),
+            ((2**63 - 1, 2**63 - 1), [2**63 - 1]),
+        ],
+        ids=["1e12", "1e12-alone", "just-below-1e9-alone", "int64-max-alone"],
+    )
+    def test_large_scales_capped_at_max_scale(self, bounds, tail):
+        grid = decade_scale_grid(*bounds)
+        assert grid[-len(tail):].tolist() == tail
+        assert grid.max() <= bounds[1]
+        assert np.all(np.diff(grid) > 0)
+
+    def test_cap_never_binds_up_to_1e8(self):
+        # Up to 10**8 the nudge stays below 1, so every grid equals the walk
+        # without the cap: no DFA scale, and so no fit, moves.
+        tops = sorted(set(range(4, 3000)) | {int(m) for m in np.geomspace(3000, 10**8, 3000)})
+        for top in tops:
+            for bottom in (4, DEFAULT_MIN_SCALE):
+                if top >= bottom:
+                    assert decade_scale_grid(bottom, top).tolist() == uncapped_grid(bottom, top)
+        for n in (1000, 2500, 8192):
+            x = np.random.default_rng(n).standard_normal(n)
+            expected = uncapped_grid(DEFAULT_MIN_SCALE, min(500, n // 5))
+            assert fluctuation_function(x).scales.tolist() == expected
+            assert dfa_hurst(x).fluctuation.scales.tolist() == expected
 
 
 class TestFluctuation:

@@ -439,6 +439,16 @@ def dated_values(draw):
     return tuple(dates), values
 
 
+@st.composite
+def whole_range_dated_values(draw):
+    """Finite floats, possibly none, on strictly increasing dates anywhere
+    from 0001-01-01 to 9999-12-31."""
+    dates = sorted(draw(st.lists(st.dates(), unique=True, max_size=30)))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(floats, min_size=len(dates), max_size=len(dates)))
+    return tuple(dates), values
+
+
 class TestSeriesCsvText:
     @pytest.mark.parametrize(("value", "text"), [
         (-0.0, "-0"),
@@ -452,6 +462,31 @@ class TestSeriesCsvText:
     def test_pinned_bytes(self, value, text):
         series = TimeSeries([2.5, value], dates=(dt.date(2004, 1, 1), dt.date(2004, 1, 3)))
         assert series_csv_text(series) == f"date,value\n2004-01-01,2.5\n2004-01-03,{text}\n"
+
+    def test_edge_dates(self):
+        dates = (
+            dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(1900, 2, 28),
+            dt.date(1900, 3, 1), dt.date(2000, 2, 29), dt.date(9999, 12, 31),
+        )
+        series = TimeSeries([0.1, -2.0, 3.0, 4.5, 1e300, 6.0], dates=dates)
+        assert series_csv_text(series) == (
+            "date,value\n0001-01-01,0.10000000000000001\n0999-12-31,-2\n1900-02-28,3\n"
+            "1900-03-01,4.5\n2000-02-29,1.0000000000000001e+300\n9999-12-31,6\n"
+        )
+
+    def test_one_row_and_no_rows(self):
+        one = TimeSeries([2.5], dates=(dt.date(2004, 1, 1),))
+        assert series_csv_text(one) == "date,value\n2004-01-01,2.5\n"
+        assert series_csv_text(TimeSeries([], dates=())) == "date,value\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=whole_range_dated_values())
+    def test_equals_per_row_isoformat_and_format_float(self, data):
+        dates, values = data
+        expected = "date,value\n" + "".join(
+            f"{d.isoformat()},{format_float(v)}\n" for d, v in zip(dates, values)
+        )
+        assert series_csv_text(TimeSeries(values, dates=dates)) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=dated_values())
