@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dfa import dfa_hurst
+from .dfa import _hurst_fit, _panel_fluctuations, dfa_hurst
 from .errors import InvalidInputError, ToolkitError
 from .finance import (
     TrendsSegment,
@@ -259,14 +259,17 @@ def cmd_lrdtest(args) -> dict:
                 raise ToolkitError(f"inputs share the label {label!r}; their fluctuation files collide")
     rows = []
     fluctuation_files = {}
-    for series in panel:
+    # Series of one length are detrended together up front; each series'
+    # DFA warnings and errors still come after its own bootstrap.
+    for series, fluct in zip(panel, _panel_fluctuations(panel)):
         tests = bootstrap_lrd_tests(
             series,
             block_size=args.block_size,
             n_surrogates=args.surrogates,
             seed=args.seed,
         )
-        hurst = dfa_hurst(series)
+        # Without a fluctuation function, dfa_hurst raises the series' error.
+        hurst = dfa_hurst(series) if fluct is None else _hurst_fit(fluct)
         if args.fluctuation_out is not None:
             fluct = hurst.fluctuation
             fluctuation_files[f"{args.fluctuation_out}_{series.label}.csv"] = _csv_text([

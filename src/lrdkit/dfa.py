@@ -11,6 +11,7 @@ tenth of a decade apart.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ __all__ = [
 
 DEFAULT_MIN_SCALE = 10
 DEFAULT_MAX_SCALE = 500
+# Values per stacked DFA call; its work array holds about 3 * STACK_VALUES floats.
+STACK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +181,20 @@ def _work_size(m: int, n: int) -> int:
     return 3 * m * n + m
 
 
+def _batch_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("ki,ki->k", a, b)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_batch_dots` with each row rounded as it is alone. In a batch
+    of two or more, einsum sums rows past 8,192 values in another order
+    (whatever ``np.setbufsize``), so those rows are reduced one per call."""
+    if a.shape[1] <= 8192:
+        return _batch_dots(a, b)
+    return np.concatenate([_batch_dots(x, y) for x, y in zip(a[:, None], b[:, None])])
+
+
 def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str, work=None):
     """Per-scale detrended sums Sxy, Sxx and Syy of paired profile rows.
 
@@ -192,7 +209,9 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
     are reduced over two rows, and einsum rounds rows past 8,192 values a
     few ulps apart in a batch (DCCA for T > 4,096, DMCA for T > 8,192).
     Returns the three stacked in that order, shape (3, k, grid.size);
-    passing ``py is px`` computes Sxx alone. The large arrays are carved
+    passing ``py is px`` computes Sxx alone. That is DFA's route, and it
+    reduces the squares row by row (:func:`_row_dots`), so each of the k
+    rows gets the sums it gives alone at any length. The large arrays are carved
     from ``work`` (contents ignored), which a caller running many chunks
     passes to fault its pages in only once.
     """
@@ -213,15 +232,16 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
         sums[:, 0] = 0.0
         sums[:, 1:] = rows
         np.cumsum(sums, axis=1, out=sums)
+    dots = _row_dots if py is px else _batch_dots
     moments = np.empty((3, k, grid.size))
     # Overflowing sums (values near 1e300) leave inf - inf = NaN moments,
     # which the callers treat as degenerate; numpy need not warn about them.
     with np.errstate(invalid="ignore"):
         for j, s in enumerate(grid):
             c, t = _detrended_parts(rows, sums, int(s), work)
-            total = squares = np.einsum("ki,ki->k", c, c)
+            total = squares = dots(c, c)
             if t is not None:
-                squares = total - np.einsum("kb,kb->k", t, t)
+                squares = total - dots(t, t)
                 # Below this share of the centered sum of squares the difference
                 # is rounding of the two sums: the boxes are exactly linear.
                 squares[squares <= 1e-12 * total] = 0.0
@@ -233,6 +253,37 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
                 cross -= np.einsum("kb,kb->k", t[:k], t[k:])
             moments[:, :, j] = (cross, squares[:k], squares[k:])
     return moments
+
+
+def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
+    """Fluctuation values of equal-length rows over a checked ``grid``, as
+    (len(rows), grid.size).
+
+    ``rows`` is a sequence of 1-D arrays, detrended at most
+    ``STACK_VALUES // n`` at a time in one :func:`_detrended_moments` call
+    (at least one), which bounds its work array; each row's values are those
+    it gives alone. Each row is scaled by the power of two that brings its
+    largest absolute value into [0.5, 1), and its fluctuation values are
+    scaled back. Both steps are exact, so ``F(x * 2**j) == F(x) * 2**j``,
+    and the sums of squares of values near 1e152 or 1e-165 neither overflow
+    nor underflow. A value past the float range comes out as inf. Neither
+    raises nor warns.
+    """
+    n = len(rows[0])
+    step = max(1, STACK_VALUES // n)
+    boxes = 2 * (n // grid)
+    values = np.empty((len(rows), grid.size))
+    work = np.empty(_work_size(min(step, len(rows)), n))
+    for start in range(0, len(rows), step):
+        chunk = np.stack(rows[start: start + step])
+        exponents = np.frexp(np.abs(chunk).max(axis=1))[1][:, None]
+        profiles = _profile_values(np.ldexp(chunk, -exponents))
+        sxx = _detrended_moments(profiles, profiles, grid, "dcca", work)[1]
+        with np.errstate(over="ignore"):
+            values[start: start + len(chunk)] = np.ldexp(
+                np.sqrt(np.maximum(sxx, 0.0) / (boxes * grid)), exponents
+            )
+    return values
 
 
 def dfa_fluctuation(series, scale: int) -> float:
@@ -251,41 +302,22 @@ def fluctuation_function(series, scales=None) -> FluctuationFunction:
 
     With ``scales=None`` a default tenth-of-a-decade grid from 10 to
     min(500, T // 5) is used. Explicit grids must be strictly increasing
-    integers inside [4, T // 2].
+    integers inside [4, T // 2]. The series is scaled by an exact power of
+    two while it is detrended, so magnitudes such as 1e152 or 1e-165 do
+    not overflow or underflow the sums of squares.
     """
     x = as_values(series, min_length=8)
     n = x.size
     if scales is None:
         scales = decade_scale_grid(DEFAULT_MIN_SCALE, min(DEFAULT_MAX_SCALE, n // 5))
     scales = _check_grid(scales, n)
-    profile = _profile_values(x)[None, :]
-    sxx = _detrended_moments(profile, profile, scales, "dcca")[1][0]
-    boxes = 2 * (n // scales)
-    values = np.sqrt(np.maximum(sxx, 0.0) / (boxes * scales))
-    return FluctuationFunction(scales=scales, values=values, boxes_per_scale=boxes)
+    return FluctuationFunction(
+        scales=scales, values=_fluctuation_rows([x], scales)[0], boxes_per_scale=2 * (n // scales)
+    )
 
 
-def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None = None) -> HurstEstimate:
-    """Estimate the Hurst exponent from the fluctuation function slope.
-
-    Parameters
-    ----------
-    series : TimeSeries or array_like
-        At least ``5 * min_scale`` observations.
-    min_scale, max_scale : int
-        Grid bounds, whole numbers. ``max_scale`` defaults to
-        min(500, T // 5).
-
-    Raises
-    ------
-    InvalidInputError
-        If a bound is not a whole number, the series is too short or the
-        grid holds fewer than 5 scales.
-    DegenerateScaleError
-        If zero-fluctuation scales leave fewer than 5 usable points.
-    """
-    x = as_values(series, min_length=8)
-    n = x.size
+def _hurst_grid(n: int, min_scale, max_scale) -> np.ndarray:
+    """The scale grid :func:`dfa_hurst` fits over for n values."""
     min_scale = _as_int(min_scale, "minimum scale")
     if n < 5 * min_scale:
         raise InvalidInputError(
@@ -298,8 +330,14 @@ def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None 
         raise InvalidInputError(
             f"scale grid from {min_scale} to {max_scale} holds only {grid.size} scales, need 5"
         )
-    fluct = fluctuation_function(x, grid)
-    usable = fluct.values > 0.0
+    return grid
+
+
+def _hurst_fit(fluct: FluctuationFunction) -> HurstEstimate:
+    """The log-log fit of ``fluct`` after dropping, with a warning, its
+    scales of zero fluctuation or of one past the float range (inf); fewer
+    than 5 left raise DegenerateScaleError."""
+    usable = (fluct.values > 0.0) & (fluct.values < np.inf)
     if not np.all(usable):
         dropped = ", ".join(str(int(s)) for s in fluct.scales[~usable])
         warnings.warn(f"dropping zero-fluctuation scales: {dropped}")
@@ -326,3 +364,53 @@ def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None 
     else:
         r_squared = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return HurstEstimate(h=slope, intercept=intercept, r_squared=r_squared, fluctuation=fluct)
+
+
+def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None = None) -> HurstEstimate:
+    """Estimate the Hurst exponent from the fluctuation function slope.
+
+    Parameters
+    ----------
+    series : TimeSeries or array_like
+        At least ``5 * min_scale`` observations.
+    min_scale, max_scale : int
+        Grid bounds, whole numbers. ``max_scale`` defaults to
+        min(500, T // 5).
+
+    Raises
+    ------
+    InvalidInputError
+        If a bound is not a whole number, the series is too short or the
+        grid holds fewer than 5 scales.
+    DegenerateScaleError
+        If scales of zero (or, past the float range, infinite) fluctuation
+        leave fewer than 5 usable points.
+    """
+    x = as_values(series, min_length=8)
+    return _hurst_fit(fluctuation_function(x, _hurst_grid(x.size, min_scale, max_scale)))
+
+
+def _panel_fluctuations(panel) -> list:
+    """The fluctuation function :func:`dfa_hurst` fits for each series of
+    ``panel`` at its default bounds, or None where it would raise.
+
+    Series of one length are detrended together by
+    :func:`_fluctuation_rows`. Neither raises nor warns: ``_hurst_fit``
+    gives each series' warnings and errors, and ``dfa_hurst`` the errors
+    of a series with None.
+    """
+    lengths, fluctuations = {}, [None] * len(panel)
+    for index, series in enumerate(panel):
+        with contextlib.suppress(InvalidInputError):
+            lengths.setdefault(as_values(series, min_length=8).size, []).append(index)
+    for n, members in lengths.items():
+        try:
+            grid = _hurst_grid(n, DEFAULT_MIN_SCALE, None)
+        except InvalidInputError:
+            continue
+        rows = _fluctuation_rows([as_values(panel[i]) for i in members], grid)
+        for index, values in zip(members, rows):
+            fluctuations[index] = FluctuationFunction(
+                scales=grid, values=values, boxes_per_scale=2 * (n // grid)
+            )
+    return fluctuations

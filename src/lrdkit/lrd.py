@@ -120,6 +120,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
     as arrays, what ``series._row_statistics`` gives for each surrogate. Up
     to 8191 blocks, a row rounds the same whatever other rows it is
     evaluated with; numpy's einsum sums longer rows differently in a batch.
+    With ``own=True`` the series' own order is evaluated too, as a last row
+    with an order-free slice of its own: it rounds as ``kernel(np.arange(B)
+    [None, :])`` does at any B, and shares the ensemble's tables.
     """
     n, b = values.size, block_size
     n_blocks = n // b
@@ -139,10 +142,13 @@ def _block_kernel(values: np.ndarray, block_size: int):
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
     step = max(1, TABLE_SLICE // (n_blocks + 1) if tabled else ROW_SLICE // blocks.size)
 
-    def slots(orders: np.ndarray) -> np.ndarray:
-        """(k, B + 1) block indices by slot; the tail is last."""
-        o = np.empty((len(orders), n_blocks + 1), dtype=np.intp)
-        o[:, :-1], o[:, -1] = orders, n_blocks
+    def slots(orders: np.ndarray, own: bool = False) -> np.ndarray:
+        """(k, B + 1) block indices by slot, with the series' own order as
+        one more row if ``own``; the tail is last."""
+        o = np.empty((len(orders) + own, n_blocks + 1), dtype=np.intp)
+        o[: len(orders), :-1], o[:, -1] = orders, n_blocks
+        if own:
+            o[-1, :-1] = np.arange(n_blocks)
         return o
 
     def order_free(o: np.ndarray) -> tuple:
@@ -154,14 +160,17 @@ def _block_kernel(values: np.ndarray, block_size: int):
         centres -= np.einsum("kj,j->k", centres, lengths)[:, None] / n
         return lag1_within + lag1, spread, spread_ss + np.einsum("kj,kj,j->k", centres, centres, lengths)
 
-    def kernel(orders: np.ndarray):
+    def kernel(orders: np.ndarray, own: bool = False):
+        k = len(orders)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            parts = [order_free(slots(orders[start: start + step])) for start in range(0, len(orders), step)]
+            parts = [order_free(slots(orders[start: start + step])) for start in range(0, k, step)]
+            if own:
+                parts.append(order_free(slots(orders[:0], own)))
             lag1, spread, prof_var = map(np.concatenate, zip(*parts))
             rho = lag1 / gamma0
             degenerate = ~(np.abs(rho) < 1.0)
             bandwidths = np.where(degenerate, 0, _lo_bandwidth(n, rho)).astype(np.int64)
-            cross = np.empty(len(orders))
+            cross = np.empty(k + own)
             for q in np.unique(bandwidths):
                 group = np.flatnonzero(bandwidths == q)
                 slices = np.array_split(group, range(step, group.size, step))
@@ -171,7 +180,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
                 for m in range(1, len(weighted)):
                     table = (weighted[m] @ blocks.T).ravel() if tabled else None
                     for rows in slices:
-                        o = slots(orders[rows])
+                        # Row k, the own order, is last in its slice.
+                        mine = own and bool(rows[-1] == k)
+                        o = slots(orders[rows[: rows.size - mine]], mine)
                         if tabled:
                             pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
                         else:
@@ -185,9 +196,11 @@ def _block_kernel(values: np.ndarray, block_size: int):
     return kernel
 
 
-def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.ndarray, int]:
-    """Statistics of every surrogate as (n_surrogates, 2), and the redraws."""
-    statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks))
+def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Statistics of every surrogate as (n_surrogates, 2), the redraws, and
+    the statistics of the series in its own order, from the same call."""
+    statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks), own=True)
+    own, statistics, degenerate = statistics[-1], statistics[:-1], degenerate[:-1]
     redraw_budget = 10 * n_surrogates
     redraws = 0
     for index in np.flatnonzero(degenerate):
@@ -200,7 +213,7 @@ def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.n
                 raise ComputationAbortedError(f"redraws exceeded the budget of {redraw_budget}")
             pairs, _, again = kernel(rng.permutation(n_blocks)[None, :])
             statistics[index], degenerate[index] = pairs[0], again[0]
-    return statistics, redraws
+    return statistics, redraws, own
 
 
 def bootstrap_lrd_tests(
@@ -242,10 +255,10 @@ def bootstrap_lrd_tests(
 
     observed, bandwidth = _observed(values)
     kernel = _block_kernel(values, block_size)
-    surrogate_stats, total_redraws = _ensemble(kernel, n // block_size, n_surrogates, seed)
+    surrogate_stats, total_redraws, own = _ensemble(kernel, n // block_size, n_surrogates, seed)
     # The series in its own order ties the observed statistics, but the
     # kernel rounds it differently: a surrogate reaching either value counts.
-    threshold = np.fmin(observed, kernel(np.arange(n // block_size)[None, :])[0][0])
+    threshold = np.fmin(observed, own)
     results: dict[str, LrdTestResult] = {}
     for column, kind in enumerate(TEST_KINDS):
         exceed = int(np.sum(surrogate_stats[:, column] >= threshold[column]))

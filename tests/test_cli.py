@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lrdkit.cli import main
+from lrdkit.dfa import dfa_hurst
 from lrdkit.finance import read_series_csv
 
 
@@ -382,6 +383,75 @@ class TestLrdtest:
         assert "'x'" in result.stderr
         assert "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
+
+
+def write_values(path, values):
+    start = datetime.date(2010, 1, 1)
+    path.write_text("date,value\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},{float(v)!r}\n" for i, v in enumerate(values)
+    ))
+    return str(path)
+
+
+class TestLrdtestPanel:
+    """lrdtest detrends the series of one length together, then fits and
+    tests each series in turn."""
+
+    def test_each_row_and_file_as_alone(self, tmp_path, capsys):
+        rng = np.random.default_rng(24)
+        paths = [
+            write_values(tmp_path / f"s{n}-{i}.csv", rng.standard_normal(n).cumsum() * 0.1 + rng.standard_normal(n))
+            for n in (130, 600, 2500, 5000, 10000) for i in range(2)
+        ]
+        common = ["--surrogates", "20", "--seed", "4"]
+        assert main(["lrdtest", *paths, *common, "--out", str(tmp_path / "panel.json"),
+                     "--fluctuation-out", str(tmp_path / "panel")]) == 0
+        rows = json.loads((tmp_path / "panel.json").read_text())["results"]
+        assert [row["label"] for row in rows] == [os.path.basename(p)[:-4] for p in paths]
+        for path, row in zip(paths, rows):
+            label = row["label"]
+            assert main(["lrdtest", path, *common, "--out", str(tmp_path / "alone.json"),
+                         "--fluctuation-out", str(tmp_path / "alone")]) == 0
+            assert json.loads((tmp_path / "alone.json").read_text())["results"] == [row]
+            text = (tmp_path / f"panel_{label}.csv").read_text()
+            assert (tmp_path / f"alone_{label}.csv").read_text() == text
+            hurst = dfa_hurst(read_series_csv(path, "trends"))
+            assert row["hurst_dfa"] == hurst.h
+            table = [line.split(",") for line in text.splitlines()[1:]]
+            assert [int(s) for s, _ in table] == hurst.fluctuation.scales.tolist()
+            assert [float(f) for _, f in table] == hurst.fluctuation.values.tolist()
+        assert capsys.readouterr().err == ""
+
+    def test_error_names_the_first_series_dfa_failure(self, tmp_path, capsys):
+        # The short series passes its bootstrap at block size 5 and fails
+        # DFA; the constant one would fail its bootstrap.
+        short = write_values(tmp_path / "short.csv", np.random.default_rng(25).standard_normal(40))
+        constant = write_values(tmp_path / "constant.csv", [2.0] * 400)
+        assert main(["lrdtest", short, constant, "--block-size", "5", "--surrogates", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 50 observations for min_scale 10, got 40\n"
+
+    def test_zero_fluctuation_warnings_in_series_order(self, tmp_path, capsys):
+        # Steps between exact plateaus are linear inside every box that does
+        # not straddle them; the run stops at the constant series' bootstrap,
+        # so the last step is never fitted.
+        noise = np.random.default_rng(26).standard_normal(600)
+        paths = [
+            write_values(tmp_path / "step400.csv", [0.0] * 200 + [1.0] * 200),
+            write_values(tmp_path / "noise.csv", noise),
+            write_values(tmp_path / "step600.csv", [0.0] * 300 + [1.0] * 300),
+            write_values(tmp_path / "constant.csv", [2.0] * 400),
+            write_values(tmp_path / "unreached.csv", [0.0] * 200 + [1.0] * 200),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["lrdtest", *paths, "--surrogates", "20"]) == 1
+        assert [str(w.message) for w in caught] == [
+            "dropping zero-fluctuation scales: 10, 25, 50",
+            "dropping zero-fluctuation scales: 10, 12, 15, 25, 50, 100",
+        ]
+        assert "variance" in capsys.readouterr().err
 
 
 class TestXcorr:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import lrdkit as lk
 from lrdkit.dfa import (
     DEFAULT_MIN_SCALE,
+    _panel_fluctuations,
     decade_scale_grid,
     dfa_fluctuation,
     dfa_hurst,
@@ -252,3 +255,75 @@ class TestHurst:
         with pytest.warns(UserWarning):
             with pytest.raises(DegenerateScaleError):
                 dfa_hurst([2.0] * 400)
+
+
+class TestPowerOfTwoScaling:
+    """Each row is scaled by a power of two before it is detrended, so its
+    sums of squares stay in range and the scaling itself rounds nothing."""
+
+    @pytest.mark.parametrize("j", [-1000, -550, -1, 1, 37, 500, 1000])
+    def test_fluctuation_scales_exactly(self, j):
+        x = np.random.default_rng(19).standard_normal(2500)
+        base = fluctuation_function(x).values
+        assert np.array_equal(fluctuation_function(np.ldexp(x, j)).values, np.ldexp(base, j))
+
+    @pytest.mark.parametrize("magnitude", [1e152, 1e-165])
+    def test_extreme_magnitudes_fit(self, magnitude):
+        # The moment sums overflowed at 1e152 and underflowed at 1e-165, and
+        # their scales were dropped as zero fluctuation.
+        x = np.random.default_rng(20).standard_normal(2500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = dfa_hurst(x * magnitude)
+        assert estimate.fluctuation.scales.size == 17
+        assert estimate.h == pytest.approx(dfa_hurst(x).h, abs=1e-12)
+
+    def test_fluctuation_past_the_float_range_is_dropped(self):
+        x = np.random.default_rng(21).standard_normal(2500)
+        x *= 1.7e308 / np.abs(x).max()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fluct = fluctuation_function(x)
+            estimate = dfa_hurst(x)
+        overflowing = ", ".join(str(s) for s in fluct.scales[np.isinf(fluct.values)])
+        assert overflowing
+        assert [str(w.message) for w in caught] == [f"dropping zero-fluctuation scales: {overflowing}"]
+        assert np.all(np.isfinite(estimate.fluctuation.values)) and math.isfinite(estimate.h)
+
+
+class TestPanelFluctuations:
+    LENGTHS = (130, 600, 2500, 5000, 10000)
+
+    def test_each_series_as_alone(self):
+        # Two series of each length: rows of 5,000 and 10,000 points hold
+        # more than 8,192 values per scale in a batch of two.
+        rng = np.random.default_rng(22)
+        panel = [rng.standard_normal(n) * rng.uniform(0.1, 10.0) for n in self.LENGTHS for _ in range(2)]
+        fluctuations = _panel_fluctuations(panel)
+        for x, fluct in zip(panel, fluctuations):
+            alone = dfa_hurst(x).fluctuation
+            assert np.array_equal(fluct.scales, alone.scales)
+            assert np.array_equal(fluct.values, alone.values)
+            assert np.array_equal(fluct.boxes_per_scale, alone.boxes_per_scale)
+
+    def test_series_dfa_hurst_refuses_get_none(self):
+        rng = np.random.default_rng(23)
+        panel = [rng.standard_normal(7), rng.standard_normal(49), rng.standard_normal(129), [2.0] * 400]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fluctuations = _panel_fluctuations(panel)
+        assert fluctuations[:3] == [None, None, None]
+        assert not np.any(fluctuations[3].values)
+
+    def test_memory_stays_bounded(self):
+        # 200 series of 20,000 points are 32 MB of input; the stage detrends
+        # a few rows at a time, so its own peak does not grow with the panel.
+        panel = [np.random.default_rng(seed).standard_normal(20_000) for seed in range(200)]
+        tracemalloc.start()
+        try:
+            fluctuations = _panel_fluctuations(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fluctuations) == 200
+        assert peak <= 8 * 2**20

@@ -28,9 +28,9 @@ def scripted_kernel(script):
     degenerate for None."""
     calls = iter(script)
 
-    def kernel(orders):
+    def kernel(orders, own=False):
         value = next(calls)
-        k = len(orders)
+        k = len(orders) + own
         statistics = np.full((k, 2), np.nan if value is None else value)
         return statistics, np.zeros(k, dtype=np.int64), np.full(k, value is None)
 
@@ -193,8 +193,8 @@ class TestBootstrap:
     def test_degenerate_surrogates_are_redrawn(self, monkeypatch):
         x = np.random.default_rng(37).standard_normal(60)
         monkeypatch.setattr(lrd, "_row_statistics", observed_one)
-        # The last evaluation is the series in its own order.
-        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel([None, None, None, 0.5, None]))
+        # The first evaluation also gives the series in its own order.
+        monkeypatch.setattr(lrd, "_block_kernel", scripted_kernel([None, None, None, 0.5]))
         results = bootstrap_lrd_tests(x, n_surrogates=1, seed=0)
         assert results["rescaled_range"].n_redraws == 3
         assert results["rescaled_variance"].n_redraws == 3
@@ -220,7 +220,7 @@ class TestChunkedEnsemble:
     @pytest.mark.parametrize("phi", [0.0, 0.85])
     def test_matches_one_surrogate_at_a_time(self, phi):
         values = ar1(phi, 1013, seed=40)
-        stats, redraws = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
+        stats, redraws, _ = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
         expected, bandwidths = serial_ensemble(values, 25, 150, 17)
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert redraws == 0
@@ -245,8 +245,8 @@ class TestChunkedEnsemble:
         def degenerate_row_101_of_first_call(values, block_size):
             kernel, calls = real(values, block_size), []
 
-            def forced(orders):
-                statistics, bandwidths, degenerate = kernel(orders)
+            def forced(orders, own=False):
+                statistics, bandwidths, degenerate = kernel(orders, own)
                 calls.append(len(orders))
                 if len(calls) == 1:
                     degenerate[101] = True
@@ -255,7 +255,7 @@ class TestChunkedEnsemble:
             return forced
 
         monkeypatch.setattr(lrd, "_block_kernel", degenerate_row_101_of_first_call)
-        stats, redraws = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
+        stats, redraws, _ = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
         assert redraws == 1
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
 
@@ -322,6 +322,24 @@ class TestBlockKernel:
             assert np.array_equal(single[0], stats[row])
             assert single_bandwidths[0] == bandwidths[row]
 
+    @pytest.mark.parametrize("n_blocks", [100, 8191, 8192, 10000])
+    def test_own_order_rounds_as_alone(self, n_blocks):
+        # The ensemble's call also evaluates the series' own order, in an
+        # order-free slice of its own; past 8,191 blocks a batched row would
+        # round differently.
+        block_size = 25 if n_blocks == 100 else 1
+        for seed in range(3):
+            values = ar1(0.5, n_blocks * block_size + block_size // 2, seed=seed)
+            kernel = lrd._block_kernel(values, block_size)
+            orders = lrd._block_orders(seed, 12, n_blocks)
+            stats, bandwidths, degenerate = kernel(orders, own=True)
+            alone = kernel(np.arange(n_blocks)[None, :])
+            assert np.array_equal(stats[-1], alone[0][0])
+            assert bandwidths[-1] == alone[1][0] and degenerate[-1] == alone[2][0]
+            ensemble = kernel(orders)
+            assert np.array_equal(stats[:-1], ensemble[0])
+            assert np.array_equal(bandwidths[:-1], ensemble[1])
+
     def test_zero_bandwidths_on_multiplied_blocks(self):
         # 1026 blocks of 25 at the default block size: slices of two
         # surrogates whose block pairs are multiplied, most of them with q = 0.
@@ -353,7 +371,7 @@ class TestBlockKernel:
         # statistics for this seed.
         values = ar1(0.3, 60, seed=41)
         identity = lrd._block_orders(9, 200, 2)[:, 0] == 0
-        stats, _ = lrd._ensemble(lrd._block_kernel(values, 25), 2, 200, 9)
+        stats, _, _ = lrd._ensemble(lrd._block_kernel(values, 25), 2, 200, 9)
         results = bootstrap_lrd_tests(values, n_surrogates=200, seed=9)
         for column, kind in enumerate(TEST_KINDS):
             exceed = identity.sum() + np.sum(stats[~identity, column] >= results[kind].statistic)
