@@ -306,19 +306,14 @@ def cmd_lrdtest(args) -> dict:
     return {**fluctuation_files, args.out: report}
 
 
-def _align_by_date(x: TimeSeries, y: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
+def _align_by_date(x: TimeSeries, y: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``x`` and of ``y`` on the dates both carry, in date order."""
     common = sorted(set(x.dates) & set(y.dates))
     if len(common) < 2:
         raise ToolkitError("series share fewer than 2 dates")
     x_map = dict(zip(x.dates, x.values))
     y_map = dict(zip(y.dates, y.values))
-    x_aligned = TimeSeries(
-        np.asarray([x_map[d] for d in common]), label=x.label, dates=common
-    )
-    y_aligned = TimeSeries(
-        np.asarray([y_map[d] for d in common]), label=y.label, dates=common
-    )
-    return x_aligned, y_aligned
+    return np.asarray([x_map[d] for d in common]), np.asarray([y_map[d] for d in common])
 
 
 def _sign_label(summaries: dict[str, object], level: float) -> str:

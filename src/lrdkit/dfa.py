@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import _as_int, _integral, as_values
+from .series import _as_int, _integral, _row_sums, as_values
 
 __all__ = [
     "DEFAULT_MIN_SCALE",
@@ -181,20 +181,6 @@ def _work_size(m: int, n: int) -> int:
     return 3 * m * n + m
 
 
-def _batch_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``."""
-    return np.einsum("ki,ki->k", a, b)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_batch_dots` with each row rounded as it is alone. In a batch
-    of two or more, einsum sums rows past 8,192 values in another order
-    (whatever ``np.setbufsize``), so those rows are reduced one per call."""
-    if a.shape[1] <= 8192:
-        return _batch_dots(a, b)
-    return np.concatenate([_batch_dots(x, y) for x, y in zip(a[:, None], b[:, None])])
-
-
 def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str, work=None):
     """Per-scale detrended sums Sxy, Sxx and Syy of paired profile rows.
 
@@ -204,16 +190,13 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
     one cumulative sum (Tsujimoto et al. 2016). Boxes are centered before
     the closed form c.c - t.t is applied, which keeps it accurate far from
     zero. The x and y rows are detrended as one (2k, n) block, halving the
-    numpy calls per scale. Each reduction and matmul runs row by row, so
-    for k >= 2 every sum is that of its rows alone; for k = 1 the squares
-    are reduced over two rows, and einsum rounds rows past 8,192 values a
-    few ulps apart in a batch (DCCA for T > 4,096, DMCA for T > 8,192).
-    Returns the three stacked in that order, shape (3, k, grid.size);
-    passing ``py is px`` computes Sxx alone. That is DFA's route, and it
-    reduces the squares row by row (:func:`_row_dots`), so each of the k
-    rows gets the sums it gives alone at any length. The large arrays are carved
-    from ``work`` (contents ignored), which a caller running many chunks
-    passes to fault its pages in only once.
+    numpy calls per scale. Each matmul runs row by row and each sum is a
+    :func:`series._row_sums` row, so every pair gets the sums it gives
+    alone, in any batch and at any length. Returns the three stacked in
+    that order, shape (3, k, grid.size); passing ``py is px`` computes Sxx
+    alone, which is DFA's route. The large arrays are carved from ``work``
+    (contents ignored), which a caller running many chunks passes to fault
+    its pages in only once.
     """
     k, n = px.shape
     m = k if py is px else 2 * k
@@ -232,25 +215,24 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
         sums[:, 0] = 0.0
         sums[:, 1:] = rows
         np.cumsum(sums, axis=1, out=sums)
-    dots = _row_dots if py is px else _batch_dots
     moments = np.empty((3, k, grid.size))
     # Overflowing sums (values near 1e300) leave inf - inf = NaN moments,
     # which the callers treat as degenerate; numpy need not warn about them.
     with np.errstate(invalid="ignore"):
         for j, s in enumerate(grid):
             c, t = _detrended_parts(rows, sums, int(s), work)
-            total = squares = dots(c, c)
+            total = squares = _row_sums("ki,ki->k", c, c)
             if t is not None:
-                squares = total - dots(t, t)
+                squares = total - _row_sums("kb,kb->k", t, t)
                 # Below this share of the centered sum of squares the difference
                 # is rounding of the two sums: the boxes are exactly linear.
                 squares[squares <= 1e-12 * total] = 0.0
             if py is px:
                 moments[:, :, j] = squares
                 continue
-            cross = np.einsum("ki,ki->k", c[:k], c[k:])
+            cross = _row_sums("ki,ki->k", c[:k], c[k:])
             if t is not None:
-                cross -= np.einsum("kb,kb->k", t[:k], t[k:])
+                cross -= _row_sums("kb,kb->k", t[:k], t[k:])
             moments[:, :, j] = (cross, squares[:k], squares[k:])
     return moments
 
@@ -261,10 +243,11 @@ def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
 
     ``rows`` is a sequence of 1-D arrays, detrended at most
     ``STACK_VALUES // n`` at a time in one :func:`_detrended_moments` call
-    (at least one), which bounds its work array; each row's values are those
-    it gives alone. Each row is scaled by the power of two that brings its
-    largest absolute value into [0.5, 1), and its fluctuation values are
-    scaled back. Both steps are exact, so ``F(x * 2**j) == F(x) * 2**j``,
+    (at least one), which bounds its work array; that kernel sums each row
+    as alone, so each row's values are those it gives alone in any chunk.
+    Each row is scaled by the power of two that brings its largest
+    absolute value into [0.5, 1), and its fluctuation values are scaled
+    back. Both steps are exact, so ``F(x * 2**j) == F(x) * 2**j``,
     and the sums of squares of values near 1e152 or 1e-165 neither overflow
     nor underflow. A value past the float range comes out as inf. Neither
     raises nor warns.

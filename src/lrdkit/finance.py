@@ -181,9 +181,10 @@ def garman_klass(bar: OhlcvBar | OhlcvBars) -> float | np.ndarray:
 def log_transform(series, floor: float | None = None) -> TimeSeries:
     """Natural log of a series, clamped below at a positive floor.
 
-    The default floor is the smallest positive value times 1e-3. Values
-    below the floor, including zeros and negatives, map to ln(floor) and
-    their indices are recorded in the output's ``meta`` under
+    The default floor is the smallest positive value times 1e-3, or the
+    smallest subnormal, 5e-324, where that product underflows to zero.
+    Values below the floor, including zeros and negatives, map to
+    ln(floor) and their indices are recorded in the output's ``meta`` under
     ``"clamped_indices"``. A series without any positive value has no
     floor to anchor and is rejected.
     """
@@ -196,7 +197,7 @@ def log_transform(series, floor: float | None = None) -> TimeSeries:
     if positive.size == 0:
         raise InvalidInputError("no positive values to anchor the clamp floor")
     if floor is None:
-        floor = float(positive.min()) * 1e-3
+        floor = max(float(positive.min()) * 1e-3, math.ulp(0.0))
     elif not (math.isfinite(floor) and floor > 0.0):
         raise InvalidInputError(f"floor must be positive, got {floor}")
     clamped = values < floor

@@ -26,7 +26,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidInputError,
 )
-from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, as_values
+from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _row_sums, as_values
 from .surrogates import MAX_SURROGATES
 
 __all__ = [
@@ -117,12 +117,11 @@ def _block_kernel(values: np.ndarray, block_size: int):
     and first values of adjacent blocks. The profile is the running total of
     the block sums plus each block's own partial sums, whose extremes and
     moments are tabled. Returns a function of (k, B) block orders that gives,
-    as arrays, what ``series._row_statistics`` gives for each surrogate. Up
-    to 8191 blocks, a row rounds the same whatever other rows it is
-    evaluated with; numpy's einsum sums longer rows differently in a batch.
-    With ``own=True`` the series' own order is evaluated too, as a last row
-    with an order-free slice of its own: it rounds as ``kernel(np.arange(B)
-    [None, :])`` does at any B, and shares the ensemble's tables.
+    as arrays, what ``series._row_statistics`` gives for each surrogate.
+    Every row is summed alone (``series._row_sums``), so a row rounds the
+    same whatever other rows it is evaluated with, at any B. With
+    ``own=True`` the series' own order is evaluated too, as a last row of
+    the last slice, sharing the ensemble's tables.
     """
     n, b = values.size, block_size
     n_blocks = n // b
@@ -153,19 +152,18 @@ def _block_kernel(values: np.ndarray, block_size: int):
 
     def order_free(o: np.ndarray) -> tuple:
         """Lag-1 products, profile range and profile sum of squares of each row."""
-        lag1 = np.einsum("kj,kj->k", np.take(blocks[:, -1], o)[:, :-1], np.take(blocks[:, 0], o)[:, 1:])
+        lag1 = _row_sums("kj,kj->k", np.take(blocks[:, -1], o)[:, :-1], np.take(blocks[:, 0], o)[:, 1:])
         ends = np.cumsum(np.take(sums, o), axis=1)
         spread = (ends + np.take(peaks, o)).max(axis=1) - (ends + np.take(troughs, o)).min(axis=1)
         centres = ends + np.take(means, o)
-        centres -= np.einsum("kj,j->k", centres, lengths)[:, None] / n
-        return lag1_within + lag1, spread, spread_ss + np.einsum("kj,kj,j->k", centres, centres, lengths)
+        centres -= _row_sums("kj,j->k", centres, lengths)[:, None] / n
+        return lag1_within + lag1, spread, spread_ss + _row_sums("kj,kj,j->k", centres, centres, lengths)
 
     def kernel(orders: np.ndarray, own: bool = False):
         k = len(orders)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            parts = [order_free(slots(orders[start: start + step])) for start in range(0, k, step)]
-            if own:
-                parts.append(order_free(slots(orders[:0], own)))
+            parts = [order_free(slots(orders[start: start + step], own and start + step >= k))
+                     for start in range(0, k, step)]
             lag1, spread, prof_var = map(np.concatenate, zip(*parts))
             rho = lag1 / gamma0
             degenerate = ~(np.abs(rho) < 1.0)

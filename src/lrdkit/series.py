@@ -145,6 +145,22 @@ def _lag(value, n: int, name: str = "bandwidth") -> int:
     return int(value)
 
 
+def _row_sums(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)`` for a form that sums each row
+    over the operands' last axis, with every row summed as einsum sums it
+    alone, whatever other rows share the call. Alone, einsum adds a row's
+    parts of 8,192 values in order; in a batch it sums longer rows another
+    way. So the last axis is taken 8,192 columns at a time and the parts
+    are added in order: one call for rows of at most 8,192 values."""
+    n = operands[0].shape[-1]
+    if n <= 8192:
+        return np.einsum(subscripts, *operands)
+    total = np.einsum(subscripts, *(a[..., :8192] for a in operands))
+    for start in range(8192, n, 8192):
+        total += np.einsum(subscripts, *(a[..., start: start + 8192] for a in operands))
+    return total
+
+
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:
     """Autocovariances at lags 0..max_lag of an already centered array, by
     direct dot products; every lag divides by the full length."""

@@ -720,6 +720,30 @@ class TestVolatility:
         assert np.allclose(log_volume.values, np.log([1200.0, 900.0, 1500.0]))
         assert document["clamped"] == {"log_variance": [], "log_volume": []}
 
+    def test_subnormal_volume_gives_finite_logs_under_warnings_as_errors(self, tmp_path):
+        # The smallest volume times 1e-3 underflows to 0, so the default
+        # floor must stay at the smallest subnormal instead.
+        target = tmp_path / "tiny.csv"
+        target.write_text(
+            "date,open,high,low,close,volume\n"
+            "2021-01-04,100,110,95,105,0\n"
+            "2021-01-05,105,106,99,100,5e-324\n"
+            "2021-01-06,100,108,97,103,1500\n"
+        )
+        prefix = tmp_path / "tiny"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdkit", "volatility", str(target), "--out", str(prefix)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        document = json.loads(result.stdout)
+        assert document["floor"]["log_volume"] == 5e-324
+        assert document["clamped"]["log_volume"] == [0]
+        log_volume = read_series_csv(f"{prefix}_log_volume.csv", "trends")
+        assert log_volume.values.tolist() == [np.log(5e-324), np.log(5e-324), np.log(1500.0)]
+
 
 class TestChain:
     def test_chains_two_files(self, tmp_path):

@@ -222,6 +222,16 @@ class TestLogTransform:
         assert out.values[0] == pytest.approx(math.log(1e-3))
         assert out.values[1] == pytest.approx(0.0)
 
+    def test_default_floor_stays_positive_below_subnormal_products(self):
+        # 5e-324 * 1e-3 underflows to 0; the floor stays at 5e-324 instead.
+        out = log_transform(np.array([0.0, 5e-324, 1e-320, 2.0]))
+        assert out.meta["floor"] == math.ulp(0.0) == 5e-324
+        assert out.meta["clamped_indices"] == [0]
+        assert np.all(np.isfinite(out.values))
+        assert out.values[0] == out.values[1] == math.log(5e-324)
+        # A smallest value of 1e-320 gives 1e-323, which does not underflow.
+        assert log_transform(np.array([0.0, 1e-320])).meta["floor"] == 1e-320 * 1e-3
+
     def test_explicit_floor(self):
         out = log_transform(np.array([0.1, 1.0]), floor=0.5)
         assert out.values[0] == pytest.approx(math.log(0.5))

@@ -340,6 +340,18 @@ class TestBlockKernel:
             assert np.array_equal(stats[:-1], ensemble[0])
             assert np.array_equal(bandwidths[:-1], ensemble[1])
 
+    def test_each_row_rounds_as_alone_past_8191_blocks(self):
+        # At 10,000 blocks of one value each order-free row sums more than
+        # 8,192 values, where einsum rounds a batched row apart from a lone one.
+        values = ar1(0.5, 10000, seed=6)
+        kernel = lrd._block_kernel(values, 1)
+        orders = lrd._block_orders(6, 12, 10000)
+        stats, bandwidths, degenerate = kernel(orders)
+        for i in range(len(orders)):
+            alone = kernel(orders[i: i + 1])
+            assert np.array_equal(alone[0][0], stats[i])
+            assert alone[1][0] == bandwidths[i] and alone[2][0] == degenerate[i]
+
     def test_zero_bandwidths_on_multiplied_blocks(self):
         # 1026 blocks of 25 at the default block size: slices of two
         # surrogates whose block pairs are multiplied, most of them with q = 0.

@@ -7,6 +7,7 @@ import lrdkit as lk
 from lrdkit.errors import DegenerateVarianceError, InvalidInputError
 from lrdkit.series import (
     TimeSeries,
+    _row_sums,
     as_values,
     auto_bandwidth,
     auto_bandwidth_value,
@@ -207,3 +208,38 @@ def test_integer_parameter_refuses_non_integers_and_takes_whole_floats(name):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             call(value)
     assert repr(call(float(whole))) == repr(call(whole))
+
+
+class TestRowSums:
+    FORMS = ("ki,ki->k", "kj,j->k", "kj,kj,j->k")
+    SUBSETS = (slice(0, 1), slice(1, 4), slice(None, None, 2), slice(5, 0, -2))
+
+    @staticmethod
+    def operands(form, n, strided):
+        """Six rows per two-axis operand and one weight row, as the kernels
+        pass them; strided rows are views of a gathered table, as
+        ``np.take(...)[:, :-1]`` gives."""
+        rng = np.random.default_rng(n)
+        if strided:
+            table = rng.standard_normal(97) * 1e3 + 7.0
+            a, b = (np.take(table, rng.integers(0, 97, size=(6, n + 1)))[:, :-1] for _ in range(2))
+            assert not a.flags.c_contiguous
+        else:
+            a, b = rng.standard_normal((2, 6, n)) * 1e3 + 7.0
+        weights = rng.uniform(0.5, 2.0, n)
+        return {"ki,ki->k": (a, b), "kj,j->k": (a, weights), "kj,kj,j->k": (a, b, weights)}[form]
+
+    @staticmethod
+    def rows(operands, index):
+        return [x[index] if x.ndim == 2 else x for x in operands]
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16384, 16385, 24577])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_each_row_is_summed_as_alone_in_any_batch(self, form, n, strided):
+        operands = self.operands(form, n, strided)
+        sums = _row_sums(form, *operands)
+        alone = [np.einsum(form, *self.rows(operands, slice(i, i + 1)))[0] for i in range(6)]
+        assert sums.tolist() == alone
+        for subset in self.SUBSETS:
+            assert _row_sums(form, *self.rows(operands, subset)).tolist() == sums[subset].tolist()

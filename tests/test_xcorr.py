@@ -8,6 +8,7 @@ from lrdkit.xcorr import (
     DCCA_DEFAULT_SCALES,
     DMCA_DEFAULT_WINDOWS,
     ScaleCorrelogram,
+    _coefficient_curves,
     dcca_coefficient,
     dcca_covariance,
     dmca_coefficient,
@@ -212,3 +213,19 @@ class TestScanScales:
             scan_scales(const, x, "dcca", [10, 20])
         message = str(excinfo.value)
         assert "10" in message and "20" in message
+
+
+class TestCoefficientCurves:
+    @pytest.mark.parametrize("n", [5000, 10000])
+    def test_each_pair_of_a_chunk_as_alone(self, n):
+        # A DCCA row holds up to 2n values and a DMCA row up to n: past
+        # 8,192, einsum rounds a batched row apart from a lone one.
+        rng = np.random.default_rng(n)
+        xv = rng.standard_normal((16, n))
+        yv = 0.5 * xv + rng.standard_normal((16, n))
+        grids = {"dcca": DCCA_DEFAULT_SCALES, "dmca": DMCA_DEFAULT_WINDOWS}
+        chunk = _coefficient_curves(xv, yv, grids)
+        for i in range(16):
+            alone = _coefficient_curves(xv[i: i + 1], yv[i: i + 1], grids)
+            for rows, row in zip(chunk, alone):
+                assert np.array_equal(rows[i], row[0])
