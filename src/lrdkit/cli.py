@@ -43,7 +43,7 @@ from .finance import (
     write_series_csv,
 )
 from .lrd import bootstrap_lrd_tests
-from .series import TimeSeries
+from .series import TimeSeries, _Dates
 from .surrogates import (
     MAX_SURROGATES, MIN_SURROGATES, SurrogateConfig, _ensemble_significance, average_coefficient
 )
@@ -442,7 +442,7 @@ def cmd_synth(args) -> dict:
         raise UsageError(
             f"{args.length} days from {args.start_date} pass the last representable date"
         ) from None
-    dates = (np.datetime64(args.start_date, "D") + np.arange(args.length)).tolist()
+    dates = _Dates((np.datetime64(args.start_date, "D") + np.arange(args.length)).tolist())
     spec = FgnSpec(h=args.hurst, length=args.length, seed=args.seed, sigma=args.sigma)
     series = generate_fgn(spec)
     return {args.out: series_csv_text(TimeSeries(series.values, dates=dates))}

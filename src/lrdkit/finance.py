@@ -30,7 +30,7 @@ from .errors import (
     InvalidBarError,
     InvalidInputError,
 )
-from .series import TimeSeries, _as_int, _increasing
+from .series import TimeSeries, _as_int, _Dates, _increasing
 
 __all__ = [
     "OhlcvBar",
@@ -50,6 +50,31 @@ OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
 _GK_COEFF = 2.0 * math.log(2.0) - 1.0
 # The bytes of a date and its comma; a 0 stands for any ASCII digit.
 _DATE_SHAPE = np.frombuffer(b"0000-00-00,", dtype=np.uint8)
+# The widest %.17g text: a sign, 17 digits, a point and an exponent e-308.
+_VALUE_WIDTH = 24
+# 10**p for p in 0..22, each an exact double.
+_POW10 = np.array([float(10**p) for p in range(23)])
+# The two ASCII digits of 0..99, tens first in memory, as one uint16 each;
+# then the point before NUL and before a minus sign.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+_POINT_SIGN = np.frombuffer(b".\0.-", dtype=np.uint16)
+# Row n keeps the first n cells of a value and clears the rest.
+_KEEP = np.tri(_VALUE_WIDTH + 1, _VALUE_WIDTH, -1, dtype=np.uint8) * np.uint8(255)
+
+
+def _fixed_cells(k: int) -> list[int]:
+    """The bytes of a value printed in fixed notation with decimal exponent
+    k in [-4, 15], as columns of the rows _fixed_notation lays out: 0 holds
+    '0', 1-17 the 17 digits, 18 the point, 19 the sign and 20 NUL."""
+    if k < 0:
+        # 0.000ddd: "0." and -k - 1 zeros before the digits.
+        body = [0, 18] + [0] * (-k - 1) + list(range(1, 18))
+    else:
+        body = list(range(1, k + 2)) + [18] + list(range(k + 2, 18))
+    return [19] + body + [20] * (_VALUE_WIDTH - 1 - len(body))
+
+
+_FIXED_CELLS = np.array([_fixed_cells(k) for k in range(-4, 16)])
 
 
 def _valid_bars(open_, high, low, close, volume):
@@ -264,12 +289,92 @@ def chain_segments(segments, overlap_days: int) -> TimeSeries:
         current_end = segment.end_date
     # Each segment is daily-contiguous and extends the last without a gap.
     dates = (np.datetime64(first.start_date, "D") + np.arange(len(chained))).tolist()
-    return TimeSeries(np.asarray(chained), label="chained", dates=dates)
+    return TimeSeries(np.asarray(chained), label="chained", dates=_Dates(dates))
 
 
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits, enough to round-trip."""
     return format(float(value), ".17g")
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hi, lo`` with ``hi`` the rounded product and ``hi + lo == a * b``
+    exactly (Dekker 1971), barring overflow and underflow; each factor is
+    split in halves of 26 bits by Veltkamp's 2**27 + 1."""
+    hi = a * b
+    a_big = a * 134217729.0
+    a_hi = a_big - (a_big - a)
+    a_lo = a - a_hi
+    b_big = b * 134217729.0
+    b_hi = b_big - (b_big - b)
+    b_lo = b - b_hi
+    lo = a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+    return hi, lo
+
+
+def _fixed_notation(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of values with 1e-4 <= |v| < 1e16 as ASCII,
+    one NUL-padded row of ``_VALUE_WIDTH`` bytes per value.
+
+    These print in fixed notation with decimal exponent K in [-4, 15].
+    D = |v| * 10**(16 - K) rounded half to even, the 17 digits %.17g
+    rounds to, comes from the exact product hi + lo of two doubles, since
+    10**p is exact for p <= 22. K starts at floor(log10|v|) and moves by
+    one where hi + lo lies outside [1e16, 1e17). hi is then an even integer
+    above 2**53, so hi + rint(lo) rounds the product half to even, as
+    %.17g does.
+    """
+    magnitude = np.abs(values)
+    k = np.floor(np.log10(magnitude)).astype(np.intp)
+    hi, lo = _two_product(magnitude, _POW10[16 - k])
+    # log10 can round across a power of ten, and hi alone can too (as for
+    # 0.09999999999999999), so the exact sum decides.
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.intp)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    if shift.any():
+        k += shift
+        hi, lo = _two_product(magnitude, _POW10[16 - k])
+    # No product rounds up to 1e17: the doubles below 10**(K + 1) stay at
+    # least 8.7 units of the 17th digit away from it.
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # Pairs of bytes: the leading digit after a '0', the other 16 digits,
+    # then the point and the sign, then NUL; _fixed_cells names them.
+    pairs = np.zeros((values.size, 11), dtype=np.uint16)
+    for column in range(8, 0, -1):
+        rest = digits // 100
+        pairs[:, column] = _PAIRS[digits - rest * 100]
+        digits = rest
+    pairs[:, 0] = _PAIRS[digits]
+    pairs[:, 9] = _POINT_SIGN[np.signbit(values).astype(np.intp)]
+    rows = pairs.view(np.uint8)
+    # The last nonzero digit; the cells up to it, or up to the units digit.
+    last = 16 - np.argmax(rows[:, 17:0:-1] != ord("0"), axis=1)
+    length = np.where(k < 0, 3 - k + last, np.where(last > k, last + 3, k + 2))
+    cells = np.empty((values.size, _VALUE_WIDTH), dtype=np.uint8)
+    for exponent in np.flatnonzero(np.bincount(k + 4)) - 4:
+        group = np.flatnonzero(k == exponent)
+        cells[group] = rows[group][:, _FIXED_CELLS[exponent + 4]]
+    cells &= _KEEP.take(length, axis=0)
+    return cells
+
+
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of each value as ASCII, one NUL-padded row of
+    ``_VALUE_WIDTH`` bytes per value: :func:`_fixed_notation` for
+    1e-4 <= |v| < 1e16, and Python's %.17g, in one call, for every other
+    value, zero and subnormals among them."""
+    magnitude = np.abs(values)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
+    if fixed.all():
+        return _fixed_notation(values)
+    cells = np.empty((values.size, _VALUE_WIDTH), dtype=np.uint8)
+    cells[fixed] = _fixed_notation(values[fixed])
+    other = values[~fixed]
+    # Left-justified in _VALUE_WIDTH cells, then the padding cleared.
+    text = (f"%-{_VALUE_WIDTH}.17g" * other.size % tuple(other.tolist())).encode("ascii")
+    padded = np.frombuffer(text, dtype=np.uint8).reshape(-1, _VALUE_WIDTH)
+    cells[~fixed] = np.where(padded == ord(" "), 0, padded)
+    return cells
 
 
 def _parse_date(text: str, where: str) -> dt.date:
@@ -417,19 +522,23 @@ def read_series_csv(path, schema: str):
         dates, columns = _read_columns(text, expected) or _read_rows(reader, expected, path)
     except csv.Error as error:
         raise InvalidInputError(f"{path}: {error}") from None
+    # Both parsers check that the dates increase.
+    dates = _Dates(dates)
     if schema == "trends":
         return TimeSeries(columns[0], label=path.stem, dates=dates)
     for column in columns:
         column.flags.writeable = False
-    return OhlcvBars(tuple(dates), *columns)
+    return OhlcvBars(dates, *columns)
 
 
 def series_csv_text(series: TimeSeries) -> str:
     """A dated series as ``date,value`` CSV text with full precision.
 
     Each row is the date's ``isoformat`` and the value as
-    :func:`format_float` renders it. The dates are written as one digit
-    grid and all rows are formatted in one call.
+    :func:`format_float` renders it. Every row is laid out in one byte
+    grid: the date digits, a comma, the value's bytes from
+    ``_format_values`` and a newline, with NUL in unused cells, which the
+    text leaves out.
     """
     if series.dates is None:
         raise InvalidInputError(f"series {series.label!r} has no dates to write")
@@ -445,18 +554,16 @@ def series_csv_text(series: TimeSeries) -> str:
         + (days - months).astype(np.int64)
         + 101
     )
-    # The YYYYMMDD digits fill the digit slots of one _DATE_SHAPE row per
-    # date, last digit first; the grid's text split on its commas gives
-    # each date's isoformat.
-    grid = np.tile(_DATE_SHAPE, (n, 1))
+    date_width = _DATE_SHAPE.size
+    grid = np.zeros((n, date_width + _VALUE_WIDTH + 1), dtype=np.uint8)
+    grid[:, :date_width] = _DATE_SHAPE
+    # The YYYYMMDD digits fill the digit slots of _DATE_SHAPE, last digit first.
     for slot in np.flatnonzero(_DATE_SHAPE == ord("0"))[::-1]:
         ymd, digit = np.divmod(ymd, 10)
         grid[:, slot] += digit.astype(np.uint8)
-    rows = [None] * (2 * n)
-    rows[::2] = grid.tobytes().decode("ascii").split(",")[:n]
-    rows[1::2] = series.values.tolist()
-    # %.17g gives the bytes of format_float.
-    return ",".join(TRENDS_HEADER) + "\n" + ("%s,%.17g\n" * n) % tuple(rows)
+    grid[:, date_width:-1] = _format_values(series.values)
+    grid[:, -1] = ord("\n")
+    return ",".join(TRENDS_HEADER) + "\n" + grid[grid != 0].tobytes().decode("ascii")
 
 
 def write_series_csv(series: TimeSeries, path) -> None:

@@ -37,6 +37,14 @@ def _increasing(dates) -> bool:
     return all(map(operator.lt, dates, dates[1:]))
 
 
+class _Dates(tuple):
+    """Dates known to increase strictly: a :class:`TimeSeries` keeps its
+    checked dates as one, and a source that makes dates in order or has
+    checked them passes one, so the check runs once per tuple."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A labeled one-dimensional series with optional daily dates.
@@ -69,13 +77,14 @@ class TimeSeries:
             )
         object.__setattr__(self, "values", values)
         if self.dates is not None:
-            dates = tuple(self.dates)
+            checked = isinstance(self.dates, _Dates)
+            dates = self.dates if checked else _Dates(self.dates)
             if len(dates) != values.size:
                 raise InvalidInputError(
                     f"series {self.label!r} has {values.size} values but "
                     f"{len(dates)} dates"
                 )
-            if not _increasing(dates):
+            if not (checked or _increasing(dates)):
                 raise InvalidInputError(
                     f"series {self.label!r} dates must be strictly increasing"
                 )

@@ -89,11 +89,16 @@ def _phase_randomize(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
     the inverse transform stays real.
     """
     n = values.shape[-1]
-    rotation = np.exp(1j * phases)
+    # cos and sin give exp(1j * phases) without its complex temporaries.
+    rotation = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=rotation.real)
+    np.sin(phases, out=rotation.imag)
     rotation[..., 0] = 1.0
     if n % 2 == 0:
         rotation[..., -1] = np.where(phases[..., -1] < np.pi, 1.0, -1.0)
-    return np.fft.irfft(np.fft.rfft(values, axis=-1) * rotation, n, axis=-1)
+    spectrum = np.fft.rfft(values, axis=-1)
+    spectrum *= rotation
+    return np.fft.irfft(spectrum, n, axis=-1)
 
 
 def _cpu_count() -> int:

@@ -508,6 +508,70 @@ class TestSeriesCsvText:
         assert back.dates == dates
         assert back.values.view(np.int64).tolist() == np.array(values).view(np.int64).tolist()
 
+    @staticmethod
+    def expected_text(dates, values):
+        return "date,value\n" + "".join(
+            f"{d.isoformat()},{format(float(v), '.17g')}\n" for d, v in zip(dates, values)
+        )
+
+    @staticmethod
+    def daily_dates(n):
+        return tuple(dt.date(2004, 1, 1) + dt.timedelta(days=i) for i in range(n))
+
+    @pytest.mark.parametrize(("value", "text"), [
+        # Exact half-way products round to the even 17th digit.
+        (1 + 2**-17, "1.0000076293945312"),
+        (1 + 3 * 2**-17, "1.0000228881835938"),
+        (0.0005059242248535156, "0.00050592422485351562"),
+        (730678256517785.375, "730678256517785.38"),
+        (1142104108052209.25, "1142104108052209.2"),
+        (-1000 - 2**-10, "-1000.0009765625"),
+        (2.5, "2.5"),
+        (0.09999999999999999, "0.099999999999999992"),
+    ])
+    def test_half_way_and_pinned_fixed_notation(self, value, text):
+        assert format(value, ".17g") == text
+        series = TimeSeries([value], dates=(dt.date(2004, 1, 1),))
+        assert series_csv_text(series) == f"date,value\n2004-01-01,{text}\n"
+
+    def test_neighbours_of_the_fixed_notation_edges(self):
+        values = []
+        for edge in (float(f"1e{p}") for p in range(-4, 17)):
+            up = down = edge
+            values.append(edge)
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                values += [up, down]
+        values += [-v for v in values]
+        assert 0.09999999999999999 in values
+        dates = self.daily_dates(len(values))
+        assert series_csv_text(TimeSeries(values, dates=dates)) == self.expected_text(dates, values)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -2.2250738585072009e-308, 9.9999999999999991e-05,
+        -1e-100, 1e16, -1.2345678901234567e17, 1e300, -sys.float_info.max,
+    ])
+    def test_each_fallback_class_among_fixed_values(self, value):
+        values = [1.5, value, -0.25]
+        dates = self.daily_dates(3)
+        assert series_csv_text(TimeSeries(values, dates=dates)) == self.expected_text(dates, values)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 3000))
+    def test_every_exponent_mixed_with_fallback_values(self, seed, n):
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(-4, 16, n)
+        values = rng.uniform(1.0, 10.0, n) * 10.0 ** exponents * rng.choice([-1.0, 1.0], n)
+        # Short mantissas and exact integers give trailing zeros to strip.
+        values[::7] = np.round(values[::7], 2)
+        values[1::11] = np.trunc(values[1::11])
+        fallback = [0.0, -0.0, 5e-324, 1e-5, -3e-200, 1e16, 2.5e17, -1e300]
+        where = rng.choice(n, len(fallback), replace=False)
+        values[where] = fallback
+        dates = self.daily_dates(n)
+        assert set(range(-4, 16)) <= {math.floor(math.log10(abs(v))) for v in values if 1e-4 <= abs(v) < 1e16}
+        assert series_csv_text(TimeSeries(values, dates=dates)) == self.expected_text(dates, values)
+
 
 class TestFormatFloat:
     @pytest.mark.parametrize(

@@ -324,9 +324,9 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n_blocks", [100, 8191, 8192, 10000])
     def test_own_order_rounds_as_alone(self, n_blocks):
-        # The ensemble's call also evaluates the series' own order, in an
-        # order-free slice of its own; past 8,191 blocks a batched row would
-        # round differently.
+        # The ensemble's call also evaluates the series' own order, as the
+        # last row of its last slice; every row is summed as alone, so past
+        # 8,191 blocks it still rounds as the lone call does.
         block_size = 25 if n_blocks == 100 else 1
         for seed in range(3):
             values = ar1(0.5, n_blocks * block_size + block_size // 2, seed=seed)

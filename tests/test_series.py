@@ -5,6 +5,7 @@ import pytest
 
 import lrdkit as lk
 from lrdkit.errors import DegenerateVarianceError, InvalidInputError
+from lrdkit.finance import OhlcvBars, log_transform
 from lrdkit.series import (
     TimeSeries,
     _row_sums,
@@ -53,6 +54,24 @@ class TestTimeSeries:
         days = [dt.date(2020, 1, 1), dt.date(2020, 1, 2)]
         series = TimeSeries([1.0, 2.0], dates=days)
         assert isinstance(series.dates, tuple)
+
+    def test_unordered_dates_from_any_caller_raise(self):
+        days = (dt.date(2020, 1, 1), dt.date(2020, 1, 3), dt.date(2020, 1, 2))
+        checked = TimeSeries([1.0, 2.0, 3.0], dates=sorted(days)).dates
+        bars = OhlcvBars(days, *(np.ones(3) for _ in range(5)))
+        for dates in (
+            days, list(days), iter(days), checked[::-1], tuple(reversed(checked)),
+            bars.dates, checked[:1] + checked[2:] + checked[1:2],
+        ):
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                TimeSeries([1.0, 2.0, 3.0], dates=dates)
+
+    def test_checked_dates_are_kept_as_they_are(self):
+        series = TimeSeries([1.0, 2.0], dates=[dt.date(2020, 1, 1), dt.date(2020, 1, 2)])
+        assert TimeSeries([3.0, 4.0], dates=series.dates).dates is series.dates
+        assert log_transform(series).dates is series.dates
+        with pytest.raises(InvalidInputError, match="2 values but 1 dates"):
+            TimeSeries([1.0, 2.0], dates=series.dates[:1])
 
 
 class TestAsValues:
