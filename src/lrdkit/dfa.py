@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import _as_int, _integral, _row_sums, as_values
+from .series import _as_int, _integral, _row_sums, _unit_scaled, as_values
 
 __all__ = [
     "DEFAULT_MIN_SCALE",
@@ -246,11 +246,11 @@ def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
     (at least one), which bounds its work array; that kernel sums each row
     as alone, so each row's values are those it gives alone in any chunk.
     Each row is scaled by the power of two that brings its largest
-    absolute value into [0.5, 1), and its fluctuation values are scaled
-    back. Both steps are exact, so ``F(x * 2**j) == F(x) * 2**j``,
-    and the sums of squares of values near 1e152 or 1e-165 neither overflow
-    nor underflow. A value past the float range comes out as inf. Neither
-    raises nor warns.
+    absolute value into [0.5, 1) (``series._unit_scaled``), and its
+    fluctuation values are scaled back. Both steps are exact, so
+    ``F(x * 2**j) == F(x) * 2**j``, and the sums of squares of values near
+    1e152 or 1e-165 neither overflow nor underflow. A value past the float
+    range comes out as inf. Neither raises nor warns.
     """
     n = len(rows[0])
     step = max(1, STACK_VALUES // n)
@@ -258,12 +258,11 @@ def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
     values = np.empty((len(rows), grid.size))
     work = np.empty(_work_size(min(step, len(rows)), n))
     for start in range(0, len(rows), step):
-        chunk = np.stack(rows[start: start + step])
-        exponents = np.frexp(np.abs(chunk).max(axis=1))[1][:, None]
-        profiles = _profile_values(np.ldexp(chunk, -exponents))
+        scaled, exponents = _unit_scaled(np.stack(rows[start: start + step]))
+        profiles = _profile_values(scaled)
         sxx = _detrended_moments(profiles, profiles, grid, "dcca", work)[1]
         with np.errstate(over="ignore"):
-            values[start: start + len(chunk)] = np.ldexp(
+            values[start: start + len(scaled)] = np.ldexp(
                 np.sqrt(np.maximum(sxx, 0.0) / (boxes * grid)), exponents
             )
     return values

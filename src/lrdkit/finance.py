@@ -48,8 +48,11 @@ __all__ = [
 TRENDS_HEADER = ("date", "value")
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
 _GK_COEFF = 2.0 * math.log(2.0) - 1.0
-# The bytes of a date and its comma; a 0 stands for any ASCII digit.
+# The bytes of a date and its comma; a 0 stands for any ASCII digit. A
+# byte minus its shape byte, as uint8, is below the bound exactly when it
+# is a digit in a digit slot or the shape's own byte elsewhere.
 _DATE_SHAPE = np.frombuffer(b"0000-00-00,", dtype=np.uint8)
+_DATE_BOUND = np.where(_DATE_SHAPE == ord("0"), 10, 1).astype(np.uint8)
 # The widest %.17g text: a sign, 17 digits, a point and an exponent e-308.
 _VALUE_WIDTH = 24
 # 10**p for p in 0..22, each an exact double.
@@ -377,6 +380,33 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _date_cells(dates) -> np.ndarray:
+    """The CSV cells of dates: an (n, 11) ``uint8`` grid whose rows are each
+    date's ``isoformat()`` and a comma.
+
+    Year, month and day come from the date ordinals by integer arithmetic
+    (Hinnant's civil-from-days): 400-year eras of 146,097 days from
+    0000-03-01, in years that start with March, so a leap day is the last
+    day of its year. The century, year, month and day digits are then four
+    gathers of ``_PAIRS``.
+    """
+    # Days since 0000-03-01, which is ordinal -305; ordinal 1 is 0001-01-01.
+    days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates)) + 305
+    era, day = np.divmod(days, 146097)
+    year = (day - day // 1460 + day // 36524 - day // 146096) // 365
+    day -= 365 * year + year // 4 - year // 100
+    month = (5 * day + 2) // 153  # 0 for March
+    day -= (153 * month + 2) // 5 - 1
+    month = np.where(month < 10, month + 3, month - 9)
+    year += 400 * era + (month <= 2)
+    cells = np.empty((len(dates), _DATE_SHAPE.size), dtype=np.uint8)
+    cells[:] = _DATE_SHAPE
+    for column, value in ((0, year // 100), (2, year % 100), (5, month), (8, day)):
+        pair = _PAIRS[value].view(np.uint8)
+        cells[:, column], cells[:, column + 1] = pair[::2], pair[1::2]
+    return cells
+
+
 def _parse_date(text: str, where: str) -> dt.date:
     """A ``YYYY-MM-DD`` date; ``fromisoformat`` takes more forms from 3.11 on."""
     date = text.strip()
@@ -403,7 +433,8 @@ def _parse_float(text: str, where: str, column: str) -> float:
 def _read_columns(text: str, expected: tuple[str, ...]):
     """Column-wise parse of the data lines of a plain file whose header
     matched, or None to leave it to the row loop: on a line that would fail
-    one of its checks, and on a blank line before the last data line.
+    one of its checks, and on a blank line before the last data line. The
+    dates come as a ``_Dates`` carrying the grid of date cells checked here.
 
     A file is plain when it holds no quote, carriage return or NUL and no
     line longer than the csv field size limit: splitting it on newlines and
@@ -428,23 +459,23 @@ def _read_columns(text: str, expected: tuple[str, ...]):
     # The dates joined by commas fill rows of 11 bytes ending in a comma
     # exactly when each has 10 characters. A non-ASCII character puts bytes
     # above 127 into a digit, dash or comma slot. fromisoformat then checks
-    # the calendar.
+    # the calendar, so each row is its date's isoformat() and a comma.
     shape = (",".join(date_texts) + ",").encode("utf-8")
     if len(shape) != _DATE_SHAPE.size * len(date_texts):
         return None
     grid = np.frombuffer(shape, dtype=np.uint8).reshape(-1, _DATE_SHAPE.size)
-    digit = _DATE_SHAPE == ord("0")
-    if not np.all(np.where(digit, grid - _DATE_SHAPE < 10, grid == _DATE_SHAPE)):
+    if not (grid - _DATE_SHAPE < _DATE_BOUND).all():
         return None
     try:
-        dates = list(map(dt.date.fromisoformat, date_texts))
+        dates = _Dates(map(dt.date.fromisoformat, date_texts))
         columns = [np.array(fields[i::width], dtype=float) for i in range(1, width)]
     except ValueError:
         return None
-    if not _increasing(dates) or not np.isfinite(columns).all():
+    if not _increasing(dates) or not all(np.isfinite(column).all() for column in columns):
         return None
     if expected == OHLCV_HEADER and not np.all(_valid_bars(*columns)):
         return None
+    dates.cells = grid
     return dates, columns
 
 
@@ -479,7 +510,7 @@ def _read_rows(reader, expected: tuple[str, ...], path: Path):
         rows.append(fields)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
-    return dates, [np.array(column) for column in zip(*rows)]
+    return _Dates(dates), [np.array(column) for column in zip(*rows)]
 
 
 def read_series_csv(path, schema: str):
@@ -522,8 +553,7 @@ def read_series_csv(path, schema: str):
         dates, columns = _read_columns(text, expected) or _read_rows(reader, expected, path)
     except csv.Error as error:
         raise InvalidInputError(f"{path}: {error}") from None
-    # Both parsers check that the dates increase.
-    dates = _Dates(dates)
+    # Both parsers check that the dates increase and pass them as _Dates.
     if schema == "trends":
         return TimeSeries(columns[0], label=path.stem, dates=dates)
     for column in columns:
@@ -536,31 +566,21 @@ def series_csv_text(series: TimeSeries) -> str:
 
     Each row is the date's ``isoformat`` and the value as
     :func:`format_float` renders it. Every row is laid out in one byte
-    grid: the date digits, a comma, the value's bytes from
-    ``_format_values`` and a newline, with NUL in unused cells, which the
-    text leaves out.
+    grid: the date cells, the value's bytes from ``_format_values`` and a
+    newline, with NUL in unused cells, which the text leaves out. The date
+    cells are the ``cells`` of the series' ``_Dates``: the grid the column
+    reader checked, or one that :func:`_date_cells` makes on the tuple's
+    first write and keeps, read-only, for the next.
     """
-    if series.dates is None:
+    dates = series.dates
+    if dates is None:
         raise InvalidInputError(f"series {series.label!r} has no dates to write")
-    n = len(series.dates)
-    # Date ordinals count from 1 on 0001-01-01.
-    ordinals = np.fromiter(map(dt.date.toordinal, series.dates), np.int64, n)
-    days = np.datetime64("0000-12-31") + ordinals
-    months = days.astype("datetime64[M]")
-    years = days.astype("datetime64[Y]")
-    ymd = (
-        (years.astype(np.int64) + 1970) * 10000
-        + (months - years).astype(np.int64) * 100
-        + (days - months).astype(np.int64)
-        + 101
-    )
+    if dates.cells is None:
+        dates.cells = _date_cells(dates)
+        dates.cells.flags.writeable = False
     date_width = _DATE_SHAPE.size
-    grid = np.zeros((n, date_width + _VALUE_WIDTH + 1), dtype=np.uint8)
-    grid[:, :date_width] = _DATE_SHAPE
-    # The YYYYMMDD digits fill the digit slots of _DATE_SHAPE, last digit first.
-    for slot in np.flatnonzero(_DATE_SHAPE == ord("0"))[::-1]:
-        ymd, digit = np.divmod(ymd, 10)
-        grid[:, slot] += digit.astype(np.uint8)
+    grid = np.empty((len(dates), date_width + _VALUE_WIDTH + 1), dtype=np.uint8)
+    grid[:, :date_width] = dates.cells
     grid[:, date_width:-1] = _format_values(series.values)
     grid[:, -1] = ord("\n")
     return ",".join(TRENDS_HEADER) + "\n" + grid[grid != 0].tobytes().decode("ascii")

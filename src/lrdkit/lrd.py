@@ -26,7 +26,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidInputError,
 )
-from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _row_sums, as_values
+from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _row_sums, _unit_scaled, as_values
 from .surrogates import MAX_SURROGATES
 
 __all__ = [
@@ -64,9 +64,18 @@ class LrdTestResult:
 
 
 def _observed(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
-    """Both statistics of one series, and its bandwidth (automatic if None)."""
+    """Both statistics of one series, and its bandwidth (automatic if None).
+
+    Both are scale-free, so they are taken of the series scaled by an exact
+    power of two (``series._unit_scaled``): the same for ``x * 2**j`` as for
+    ``x``, and finite at magnitudes such as 1e152 or 1e-165. A series whose
+    mean overflows in data units, as alternating values of +-1e308 do, is
+    still refused as degenerate, as ``hac_variance`` refuses it.
+    """
     bandwidth = None if bandwidth is None else _lag(bandwidth, values.size)
-    statistics, bandwidth, degenerate = _row_statistics(values, bandwidth)
+    statistics, bandwidth, degenerate = _row_statistics(_unit_scaled(values)[0], bandwidth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        degenerate |= not np.isfinite(values.mean())
     if degenerate:
         raise DegenerateVarianceError(
             "series variance is zero or not finite, or its long-run variance is not positive"
@@ -230,6 +239,10 @@ def bootstrap_lrd_tests(
     degenerate variance is redrawn from its own child generator; more than
     ``10 * n_surrogates`` redraws in total abort the run. At most
     ``MAX_SURROGATES`` surrogates and 2**28 block orders in all are drawn.
+    The series and its surrogates are evaluated scaled by an exact power of
+    two (``series._unit_scaled``), so ``x * 2**j`` gives the same results as
+    ``x`` and magnitudes such as 1e152 or 1e-165 neither overflow nor
+    underflow; ``_observed`` still refuses a series whose mean overflows.
 
     Returns a dict keyed by test kind.
     """
@@ -252,7 +265,7 @@ def bootstrap_lrd_tests(
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
     observed, bandwidth = _observed(values)
-    kernel = _block_kernel(values, block_size)
+    kernel = _block_kernel(_unit_scaled(values)[0], block_size)
     surrogate_stats, total_redraws, own = _ensemble(kernel, n // block_size, n_surrogates, seed)
     # The series in its own order ties the observed statistics, but the
     # kernel rounds it differently: a surrogate reaching either value counts.

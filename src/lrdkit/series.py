@@ -40,9 +40,18 @@ def _increasing(dates) -> bool:
 class _Dates(tuple):
     """Dates known to increase strictly: a :class:`TimeSeries` keeps its
     checked dates as one, and a source that makes dates in order or has
-    checked them passes one, so the check runs once per tuple."""
+    checked them passes one, so the check runs once per tuple.
 
-    __slots__ = ()
+    ``cells`` holds the dates' CSV cells once made: a read-only (n, 11)
+    ``uint8`` grid whose rows are each date's ``isoformat()`` and a comma.
+    The column reader sets the grid it checked; ``finance.series_csv_text``
+    makes it on the first write of any other tuple. So the dates of a tuple
+    are turned into text at most once, however many files carry them. A
+    slice is a plain tuple, which :class:`TimeSeries` checks and keeps as a
+    new ``_Dates`` with no cells.
+    """
+
+    cells = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +137,18 @@ def as_values(series, min_length: int = 1) -> np.ndarray:
             f"need at least {min_length} observations, got {values.size}"
         )
     return values
+
+
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` times ``2**-e`` along the last axis, and ``e`` with the
+    last axis kept: the ``frexp`` exponent of each row's largest absolute
+    value, so a nonzero row's largest value lies in [0.5, 1) and a zero row
+    has e = 0. The scaling is exact unless it takes a value below the
+    normal range, so scale-free statistics of the scaled rows are those of
+    the rows, and their sums of squares neither overflow at 1e152 nor
+    underflow at 1e-165."""
+    exponents = np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(values, -exponents), exponents
 
 
 def _integral(value) -> bool:

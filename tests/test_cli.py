@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
+import lrdkit.cli as cli
 from lrdkit.cli import main
 from lrdkit.dfa import dfa_hurst
-from lrdkit.finance import read_series_csv
+from lrdkit.finance import read_series_csv, write_series_csv
 
 
 def run_cli(*argv):
@@ -670,6 +671,21 @@ class TestVolatility:
             assert main(["volatility", str(source), "--out", str(tmp_path / prefix)]) == 0
         for suffix in ("_log_variance.csv", "_log_volume.csv"):
             assert (tmp_path / f"lf{suffix}").read_bytes() == (tmp_path / f"crlf{suffix}").read_bytes()
+
+    def test_outputs_write_the_readers_date_cells(self, bars_csv, tmp_path, monkeypatch):
+        # The column reader keeps the date grid it checked on the dates, and
+        # both outputs copy that grid instead of making their own.
+        read, written = [], []
+        monkeypatch.setattr(cli, "read_series_csv", lambda *a: read.append(read_series_csv(*a)) or read[-1])
+        monkeypatch.setattr(cli, "write_series_csv", lambda s, path: written.append(s) or write_series_csv(s, path))
+        assert main(["volatility", str(bars_csv), "--out", str(tmp_path / "v")]) == 0
+        (bars,) = read
+        assert bars.dates.cells.tobytes() == b"2021-01-04,2021-01-05,2021-01-06,"
+        assert [s.label for s in written] == ["log(prices-variance)", "log(prices-volume)"]
+        assert all(s.dates.cells is bars.dates.cells for s in written)
+        for suffix in ("_log_variance.csv", "_log_volume.csv"):
+            dates = [line.split(",")[0] for line in (tmp_path / f"v{suffix}").read_text().splitlines()]
+            assert dates == ["date", "2021-01-04", "2021-01-05", "2021-01-06"]
 
     def test_bad_bar_names_its_row(self, tmp_path):
         target = tmp_path / "bad.csv"

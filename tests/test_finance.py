@@ -573,6 +573,59 @@ class TestSeriesCsvText:
         assert series_csv_text(TimeSeries(values, dates=dates)) == self.expected_text(dates, values)
 
 
+class TestDateCells:
+    """The CSV cells of a date tuple are made at most once: the column
+    reader keeps the grid it checked, and any other ``_Dates`` keeps the
+    cells of its first write."""
+
+    EDGES = (
+        dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(1900, 2, 28),
+        dt.date(2000, 2, 29), dt.date(9999, 12, 31),
+    )
+
+    def test_built_dates_write_isoformat_once(self):
+        series = TimeSeries([1.0, -2.5, 3.0, 0.125, 7.0], dates=self.EDGES)
+        assert series.dates.cells is None
+        first = series_csv_text(series)
+        assert first == "date,value\n" + "".join(
+            f"{d.isoformat()},{format_float(v)}\n" for d, v in zip(self.EDGES, series.values)
+        )
+        cells = series.dates.cells
+        assert cells.shape == (5, 11) and not cells.flags.writeable
+        assert cells.tobytes() == "".join(f"{d.isoformat()}," for d in self.EDGES).encode()
+        assert series_csv_text(series) == first
+        assert series.dates.cells is cells
+
+    def test_slice_of_read_dates_writes_its_own(self, tmp_path):
+        dates = tuple(dt.date(2020, 2, 26) + dt.timedelta(days=i) for i in range(6))
+        target = tmp_path / "read.csv"
+        target.write_text("date,value\n" + "".join(f"{d},{i}\n" for i, d in enumerate(dates)))
+        read = read_series_csv(target, "trends")
+        assert read.dates.cells is not None
+        part = TimeSeries(read.values[2:5], dates=read.dates[2:5])
+        assert type(read.dates[2:5]) is tuple
+        assert series_csv_text(part) == "date,value\n2020-02-28,2\n2020-02-29,3\n2020-03-01,4\n"
+        assert part.dates.cells is not read.dates.cells
+
+    @pytest.mark.parametrize("schema", ["trends", "ohlcv"])
+    def test_crlf_copy_writes_the_plain_bytes(self, tmp_path, schema):
+        dates = self.EDGES[:2] + tuple(dt.date(2000, 2, 27) + dt.timedelta(days=i) for i in range(4))
+        if schema == "trends":
+            text = "date,value\n" + "".join(f"{d},{i / 3}\n" for i, d in enumerate(dates))
+        else:
+            text = ",".join(OHLCV_HEADER) + "\n" + "".join(f"{d},10,12,9,11,{i}\n" for i, d in enumerate(dates))
+        plain, crlf = tmp_path / "plain.csv", tmp_path / "crlf.csv"
+        plain.write_text(text)
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        columns, rows = (read_series_csv(path, schema) for path in (plain, crlf))
+        # The plain file keeps the reader's cells; the row loop makes none.
+        assert columns.dates.cells is not None and rows.dates.cells is None
+        if schema == "ohlcv":
+            columns, rows = (TimeSeries(bars.volume, dates=bars.dates) for bars in (columns, rows))
+        assert series_csv_text(rows) == series_csv_text(columns)
+        assert rows.dates.cells.tobytes() == columns.dates.cells.tobytes()
+
+
 class TestFormatFloat:
     @pytest.mark.parametrize(
         "value", [0.1, 1.0 / 3.0, 1e-300, -2.5, 0.0, 12345.678901234567]

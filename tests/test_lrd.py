@@ -1,8 +1,11 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrdkit.lrd as lrd
 from lrdkit.errors import (
@@ -211,6 +214,38 @@ class TestBootstrap:
     def test_overflowing_variance_is_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             bootstrap_lrd_tests(np.array([1e308, -1e308] * 150), n_surrogates=10)
+
+
+class TestPowerOfTwoScaling:
+    """The bootstrap evaluates the series scaled by an exact power of two,
+    so its results do not depend on the magnitude of the series."""
+
+    # An AR(1) series whose smallest |x| stays a normal double at x * 2**-1000.
+    X = ar1(0.6, 400, seed=41)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @example(j=-1000)
+    @example(j=1000)
+    @given(j=st.integers(-1000, 1000))
+    def test_results_are_identical_at_every_power_of_two(self, j):
+        assert np.abs(self.X).min() > 2.0 ** -20
+        expected = bootstrap_lrd_tests(self.X, n_surrogates=64, seed=9)
+        assert bootstrap_lrd_tests(np.ldexp(self.X, j), n_surrogates=64, seed=9) == expected
+
+    @pytest.mark.parametrize("magnitude", [1e152, 1e-165])
+    def test_extreme_magnitudes_give_finite_results(self, magnitude):
+        # At 1e152 the profile variance overflowed to inf; at 1e-165 the
+        # series variance underflowed and the run was refused.
+        x = np.random.default_rng(42).standard_normal(2500)
+        expected = bootstrap_lrd_tests(x, n_surrogates=50, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = bootstrap_lrd_tests(x * magnitude, n_surrogates=50, seed=5)
+        for kind in TEST_KINDS:
+            assert np.isfinite(results[kind].statistic)
+            assert results[kind].statistic == pytest.approx(expected[kind].statistic, rel=1e-13)
+            assert results[kind].p_value == expected[kind].p_value
+            assert results[kind].bandwidth == expected[kind].bandwidth
 
 
 class TestChunkedEnsemble:
