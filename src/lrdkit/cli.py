@@ -42,7 +42,7 @@ from .finance import (
     series_csv_text,
     write_series_csv,
 )
-from .lrd import bootstrap_lrd_tests
+from .lrd import _panel_tests
 from .series import TimeSeries, _Dates
 from .surrogates import (
     MAX_SURROGATES, MIN_SURROGATES, SurrogateConfig, _ensemble_significance, average_coefficient
@@ -259,15 +259,13 @@ def cmd_lrdtest(args) -> dict:
                 raise ToolkitError(f"inputs share the label {label!r}; their fluctuation files collide")
     rows = []
     fluctuation_files = {}
-    # Series of one length are detrended together up front; each series'
-    # DFA warnings and errors still come after its own bootstrap.
-    for series, fluct in zip(panel, _panel_fluctuations(panel)):
-        tests = bootstrap_lrd_tests(
-            series,
-            block_size=args.block_size,
-            n_surrogates=args.surrogates,
-            seed=args.seed,
-        )
+    # Series of one length are bootstrapped and detrended together up front;
+    # each series' bootstrap error, then its DFA warnings and errors, still
+    # come in series order.
+    bootstraps = _panel_tests(panel, args.block_size, args.surrogates, args.seed)
+    for series, tests, fluct in zip(panel, bootstraps, _panel_fluctuations(panel)):
+        if isinstance(tests, ToolkitError):
+            raise tests
         # Without a fluctuation function, dfa_hurst raises the series' error.
         hurst = dfa_hurst(series) if fluct is None else _hurst_fit(fluct)
         if args.fluctuation_out is not None:

@@ -25,6 +25,7 @@ from .errors import (
     ComputationAbortedError,
     DegenerateVarianceError,
     InvalidInputError,
+    ToolkitError,
 )
 from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _row_sums, _unit_scaled, as_values
 from .surrogates import MAX_SURROGATES
@@ -40,10 +41,12 @@ __all__ = [
 TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
 # Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
-# which the pairs are multiplied, and per slice of surrogates: with tables,
-# (k, B + 1) block quantities stay below the allocator's mmap threshold;
-# without, the (k, B + 1, b) blocks of the multiplied pairs are held to 512 kB.
-TABLE_ENTRIES, TABLE_SLICE, ROW_SLICE = 1 << 20, 1 << 13, 1 << 16
+# which the pairs are multiplied. STACK_VALUES is the one value budget of the
+# kernel's slices (512 kB of floats): each (S, k, B + 1) order-free quantity
+# of S series and k surrogates, the S n values of one stack's tables, and per
+# series the (k, B + 1) looked-up pairs, or without tables the (k, B + 1, b)
+# blocks of the multiplied pairs.
+TABLE_ENTRIES, STACK_VALUES = 1 << 20, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,10 @@ def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
     """Read-only (n_surrogates, n_blocks) block orders: row i is the first
     permutation drawn from child i of ``SeedSequence(seed)``.
 
-    Only the last key is kept: a panel of equal-length series tested with
-    one seed draws the orders once. They are int16 below 32768 blocks, half
-    the size of int32; ``slots`` widens each slice it evaluates.
+    Only the last key is kept: ``_panel_tests`` evaluates the series of one
+    length together, so a panel tested with one seed draws the orders once
+    per length. They are int16 below 32768 blocks, half the size of int32;
+    ``slots`` widens each slice it evaluates.
     """
     children = np.random.SeedSequence(seed).spawn(n_surrogates)
     dtype = np.int16 if n_blocks < 32768 else np.int32
@@ -114,41 +118,53 @@ def _block_orders(seed: int, n_surrogates: int, n_blocks: int) -> np.ndarray:
 def _block_kernel(values: np.ndarray, block_size: int):
     """Statistics of block-bootstrap surrogates from per-block tables.
 
-    The centred series is cut into B complete blocks, the rows of X, and the
-    tail, zero-padded to row B, which stays last in every surrogate. The
-    variance and the products within a block do not depend on the order.
-    The Bartlett-weighted products between the blocks in slots j and j + m
-    sum to F_m[o_j, o_{j+m}], with F_m = X A_m X^T and A_m[i, i'] =
-    w(m b + i' - i), for each bandwidth q and m <= ceil(q / b). Up to
-    ``TABLE_ENTRIES``, F_m is one (B + 1)^2 table and each surrogate looks up
-    its B entries; past it, each surrogate multiplies its B pairs, rows o_j
-    of X A_m against rows o_{j+m} of X. Lo's lag-1 product pairs the last
-    and first values of adjacent blocks. The profile is the running total of
-    the block sums plus each block's own partial sums, whose extremes and
-    moments are tabled. Returns a function of (k, B) block orders that gives,
-    as arrays, what ``series._row_statistics`` gives for each surrogate.
-    Every row is summed alone (``series._row_sums``), so a row rounds the
-    same whatever other rows it is evaluated with, at any B. With
-    ``own=True`` the series' own order is evaluated too, as a last row of
-    the last slice, sharing the ensemble's tables.
+    ``values`` is one series, or an (S, n) stack of series of one length,
+    which share the block orders. Each series is centred and cut into B
+    complete blocks, the rows of X, and the tail, zero-padded to row B,
+    which stays last in every surrogate. The variance and the products
+    within a block do not depend on the order. The Bartlett-weighted
+    products between the blocks in slots j and j + m sum to
+    F_m[o_j, o_{j+m}], with F_m = X A_m X^T and A_m[i, i'] = w(m b + i' - i),
+    for each bandwidth q and m <= ceil(q / b). Up to ``TABLE_ENTRIES``, F_m
+    is one (B + 1)^2 table and each surrogate looks up its B entries; past
+    it, each surrogate multiplies its B pairs, rows o_j of X A_m against
+    rows o_{j+m} of X. Lo's lag-1 product pairs the last and first values of
+    adjacent blocks. The profile is the running total of the block sums
+    plus each block's own partial sums, whose extremes and moments are
+    tabled. These order-free parts are evaluated for the whole stack at
+    once: each slice of ``STACK_VALUES // (S (B + 1))`` surrogates (at least
+    one) builds its slots once and gathers the six (S, B + 1) per-block
+    tables together. The cross products depend on each series' bandwidths
+    and pair tables, so they run series by series, holding at most one
+    table. Returns a function of (k, B) block orders that gives, as arrays
+    with the stack's leading axis, what ``series._row_statistics`` gives for
+    each series and surrogate. Every row is summed alone
+    (``series._row_sums``), so a row rounds the same whatever other rows and
+    series it is evaluated with, at any B: each series of a stack gets what
+    it gets alone. With ``own=True`` the series' own order is evaluated too,
+    as a last row of the last slice, sharing the ensemble's tables.
     """
-    n, b = values.size, block_size
+    stack = values.reshape(-1, values.shape[-1])
+    n_series, n = stack.shape
+    b = block_size
     n_blocks = n // b
-    blocks = np.zeros((n_blocks + 1, b))
-    blocks.flat[:n] = values - values.mean()
+    blocks = np.zeros((n_series, n_blocks + 1, b))
+    blocks.reshape(n_series, -1)[:, :n] = stack - stack.mean(axis=1, keepdims=True)
     lengths = np.full(n_blocks + 1, float(b))
     lengths[-1] = n - n_blocks * b
-    partial = np.cumsum(blocks, axis=1)
+    partial = np.cumsum(blocks, axis=2)
     real = np.arange(b) < lengths[:, None]
-    means = np.where(real, partial, 0.0).sum(axis=1) / np.maximum(lengths, 1.0)
-    spread_ss = np.sum(np.where(real, partial - means[:, None], 0.0) ** 2)
-    # Profile offsets within each block, from the block's end.
-    sums = partial[:, -1]
-    peaks, troughs, means = partial.max(axis=1) - sums, partial.min(axis=1) - sums, means - sums
-    gamma0 = np.sum(blocks * blocks)
-    lag1_within = np.sum(blocks[:, :-1] * blocks[:, 1:])
+    means = np.where(real, partial, 0.0).sum(axis=2) / np.maximum(lengths, 1.0)
+    spread_ss = (np.where(real, partial - means[..., None], 0.0) ** 2).reshape(n_series, -1).sum(axis=1)
+    # Per-block tables: the last and first values, the sums, and the profile
+    # offsets within each block, from the block's end.
+    lasts, firsts, sums = blocks[..., -1], blocks[..., 0], partial[..., -1]
+    peaks, troughs, means = partial.max(axis=2) - sums, partial.min(axis=2) - sums, means - sums
+    gamma0 = (blocks * blocks).reshape(n_series, -1).sum(axis=1)
+    lag1_within = (blocks[..., :-1] * blocks[..., 1:]).reshape(n_series, -1).sum(axis=1)
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
-    step = max(1, TABLE_SLICE // (n_blocks + 1) if tabled else ROW_SLICE // blocks.size)
+    step = max(1, STACK_VALUES // (n_series * (n_blocks + 1)))
+    cross_step = max(1, STACK_VALUES // (n_blocks + 1 if tabled else blocks[0].size))
 
     def slots(orders: np.ndarray, own: bool = False) -> np.ndarray:
         """(k, B + 1) block indices by slot, with the series' own order as
@@ -159,54 +175,82 @@ def _block_kernel(values: np.ndarray, block_size: int):
             o[-1, :-1] = np.arange(n_blocks)
         return o
 
-    def order_free(o: np.ndarray) -> tuple:
-        """Lag-1 products, profile range and profile sum of squares of each row."""
-        lag1 = _row_sums("kj,kj->k", np.take(blocks[:, -1], o)[:, :-1], np.take(blocks[:, 0], o)[:, 1:])
-        ends = np.cumsum(np.take(sums, o), axis=1)
-        spread = (ends + np.take(peaks, o)).max(axis=1) - (ends + np.take(troughs, o)).min(axis=1)
-        centres = ends + np.take(means, o)
-        centres -= _row_sums("kj,j->k", centres, lengths)[:, None] / n
-        return lag1_within + lag1, spread, spread_ss + _row_sums("kj,kj,j->k", centres, centres, lengths)
+    def order_free(o: np.ndarray, work: np.ndarray) -> tuple:
+        """Lag-1 products, profile range and profile sum of squares of each
+        series and row, as (S, k) arrays. The gathered tables go to two
+        (S, k, B + 1) blocks carved from ``work``, one array that every slice
+        of a kernel call reuses."""
+        size = n_series * len(o) * (n_blocks + 1)
+        ends, other = (work[i * size: (i + 1) * size].reshape(n_series, len(o), -1) for i in range(2))
+
+        def gather(table, out):
+            return np.take(table, o, axis=1, out=out, mode="clip")
+
+        lag1 = _row_sums("skj,skj->sk", gather(lasts, ends)[..., :-1], gather(firsts, other)[..., 1:])
+        np.cumsum(gather(sums, other), axis=2, out=ends)
+        spread = np.add(ends, gather(peaks, other), out=other).max(axis=2)
+        spread -= np.add(ends, gather(troughs, other), out=other).min(axis=2)
+        centres = np.add(ends, gather(means, other), out=other)
+        centres -= _row_sums("skj,j->sk", centres, lengths)[..., None] / n
+        return (lag1_within[:, None] + lag1, spread,
+                spread_ss[:, None] + _row_sums("skj,skj,j->sk", centres, centres, lengths))
+
+    def cross_products(x: np.ndarray, orders: np.ndarray, own: bool, bandwidths: np.ndarray) -> np.ndarray:
+        """Each row's Bartlett-weighted products between the blocks X = ``x``
+        of one series, at that series' ``bandwidths``."""
+        k = len(orders)
+        cross = np.empty(k + own)
+        for q in np.unique(bandwidths):
+            group = np.flatnonzero(bandwidths == q)
+            slices = np.array_split(group, range(cross_step, group.size, cross_step))
+            lag = b * np.arange(-(-q // b) + 1)[:, None, None] + np.arange(b) - np.arange(b)[:, None]
+            weighted = x @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
+            cross[group] = np.sum(weighted[0] * x)
+            for m in range(1, len(weighted)):
+                table = (weighted[m] @ x.T).ravel() if tabled else None
+                for rows in slices:
+                    # Row k, the own order, is last in its slice.
+                    mine = own and bool(rows[-1] == k)
+                    o = slots(orders[rows[: rows.size - mine]], mine)
+                    if tabled:
+                        pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
+                    else:
+                        pairs = np.take(weighted[m], o[:, :-m], axis=0) * np.take(x, o[:, m:], axis=0)
+                    cross[rows] += pairs.reshape(len(rows), -1).sum(axis=1)
+                del table  # before the next one is built: at most one is held
+        return cross
 
     def kernel(orders: np.ndarray, own: bool = False):
         k = len(orders)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            parts = [order_free(slots(orders[start: start + step], own and start + step >= k))
+            work = np.empty(2 * n_series * (min(step, k) + own) * (n_blocks + 1))
+            parts = [order_free(slots(orders[start: start + step], own and start + step >= k), work)
                      for start in range(0, k, step)]
-            lag1, spread, prof_var = map(np.concatenate, zip(*parts))
-            rho = lag1 / gamma0
+            lag1, spread, prof_var = (np.concatenate(part, axis=1) for part in zip(*parts))
+            rho = lag1 / gamma0[:, None]
             degenerate = ~(np.abs(rho) < 1.0)
             bandwidths = np.where(degenerate, 0, _lo_bandwidth(n, rho)).astype(np.int64)
-            cross = np.empty(k + own)
-            for q in np.unique(bandwidths):
-                group = np.flatnonzero(bandwidths == q)
-                slices = np.array_split(group, range(step, group.size, step))
-                lag = b * np.arange(-(-q // b) + 1)[:, None, None] + np.arange(b) - np.arange(b)[:, None]
-                weighted = blocks @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
-                cross[group] = np.sum(weighted[0] * blocks)
-                for m in range(1, len(weighted)):
-                    table = (weighted[m] @ blocks.T).ravel() if tabled else None
-                    for rows in slices:
-                        # Row k, the own order, is last in its slice.
-                        mine = own and bool(rows[-1] == k)
-                        o = slots(orders[rows[: rows.size - mine]], mine)
-                        if tabled:
-                            pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
-                        else:
-                            pairs = np.take(weighted[m], o[:, :-m], axis=0) * np.take(blocks, o[:, m:], axis=0)
-                        cross[rows] += pairs.reshape(len(rows), -1).sum(axis=1)
-                    del table  # before the next one is built: at most one is held
-            s2 = (gamma0 + 2.0 * cross) / n
-            statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * n * s2)], axis=1)
-        return statistics, bandwidths, degenerate | ~(np.isfinite(s2) & (s2 > 0.0))
+            cross = np.stack([cross_products(x, orders, own, row) for x, row in zip(blocks, bandwidths)])
+            s2 = (gamma0[:, None] + 2.0 * cross) / n
+            statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * n * s2)], axis=-1)
+        degenerate |= ~(np.isfinite(s2) & (s2 > 0.0))
+        shape = values.shape[:-1] + (k + own,)
+        return statistics.reshape(shape + (2,)), bandwidths.reshape(shape), degenerate.reshape(shape)
 
     return kernel
 
 
-def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.ndarray, int, np.ndarray]:
+def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int,
+              evaluated=None) -> tuple[np.ndarray, int, np.ndarray]:
     """Statistics of every surrogate as (n_surrogates, 2), the redraws, and
-    the statistics of the series in its own order, from the same call."""
-    statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks), own=True)
+    the statistics of the series in its own order. ``evaluated`` is the
+    series' statistics and degenerate flags from a stacked kernel call over
+    the block orders and its own order; without it, ``kernel`` makes that
+    call. Redraws run on ``kernel``, a kernel of the series alone."""
+    if evaluated is None:
+        statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks), own=True)
+    else:
+        statistics, degenerate = evaluated
     own, statistics, degenerate = statistics[-1], statistics[:-1], degenerate[:-1]
     redraw_budget = 10 * n_surrogates
     redraws = 0
@@ -221,6 +265,96 @@ def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int) -> tuple[np.n
             pairs, _, again = kernel(rng.permutation(n_blocks)[None, :])
             statistics[index], degenerate[index] = pairs[0], again[0]
     return statistics, redraws, own
+
+
+def _checked(series, block_size: int, n_surrogates: int, seed: int) -> np.ndarray:
+    """The values of ``series`` once the bootstrap's checks of it and of
+    the whole-number parameters pass; raises the first that fails. At most
+    ``MAX_SURROGATES`` surrogates and 2**28 block orders in all."""
+    values = as_values(series, min_length=2)
+    n = values.size
+    if block_size < 1:
+        raise InvalidInputError(f"block size must be positive, got {block_size}")
+    if n < 2 * block_size:
+        raise InvalidInputError(
+            f"need at least {2 * block_size} observations for block size {block_size}, got {n}"
+        )
+    if not 1 <= n_surrogates <= MAX_SURROGATES:
+        raise InvalidInputError(f"need 1 to {MAX_SURROGATES} surrogates, got {n_surrogates}")
+    if n_surrogates * (n // block_size) > 1 << 28:  # 512 MiB of int16 block orders
+        raise InvalidInputError(f"{n_surrogates} surrogates of {n // block_size} blocks pass 2**28 block orders")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    return values
+
+
+def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
+    """What :func:`bootstrap_lrd_tests` gives for each series of ``panel``:
+    its results, or the ``ToolkitError`` it raises. Raises none itself.
+
+    Series of one length share their block orders, drawn once, and one
+    ``_block_kernel`` stack holds up to ``STACK_VALUES // n`` of them (at
+    least one), which bounds its tables as its slices bound its gathers.
+    Every row is summed as alone, so each series gets what it gets alone; a
+    series with degenerate surrogates redraws them on a kernel of its own.
+    """
+    try:
+        block_size = _as_int(block_size, "block size")
+        n_surrogates = _as_int(n_surrogates, "surrogate count")
+        seed = _as_int(seed, "seed")
+    except InvalidInputError as error:
+        return [error] * len(panel)
+    outcomes, lengths = [], {}
+    for series in panel:
+        try:
+            values = _checked(series, block_size, n_surrogates, seed)
+            outcomes.append(_observed(values))
+        except ToolkitError as error:
+            outcomes.append(error)
+        else:
+            lengths.setdefault(values.size, []).append((len(outcomes) - 1, values))
+    for n, members in lengths.items():
+        n_blocks = n // block_size
+        orders = _block_orders(seed, n_surrogates, n_blocks)
+        width = max(1, STACK_VALUES // n)
+        for start in range(0, len(members), width):
+            indices, rows = zip(*members[start: start + width])
+            stack = _unit_scaled(np.stack(rows))[0]
+            statistics, _, degenerate = _block_kernel(stack, block_size)(orders, own=True)
+            # (S, k + 1) rows; a stand-in kernel may give one series' rows unstacked.
+            statistics = statistics.reshape(len(indices), -1, 2)
+            degenerate = degenerate.reshape(len(indices), -1)
+            for row, index in enumerate(indices):
+                alone = _block_kernel(stack[row], block_size) if degenerate[row, :-1].any() else None
+                try:
+                    ensemble = _ensemble(alone, n_blocks, n_surrogates, seed, (statistics[row], degenerate[row]))
+                except ComputationAbortedError as error:
+                    outcomes[index] = error
+                else:
+                    observed, bandwidth = outcomes[index]
+                    outcomes[index] = _results(observed, bandwidth, *ensemble, block_size)
+    return outcomes
+
+
+def _results(observed, bandwidth: int, surrogate_stats, redraws: int, own, block_size: int) -> dict:
+    """Both tests' results from the observed statistics and the ensemble."""
+    n_surrogates = len(surrogate_stats)
+    # The series in its own order ties the observed statistics, but the
+    # kernel rounds it differently: a surrogate reaching either value counts.
+    threshold = np.fmin(observed, own)
+    results: dict[str, LrdTestResult] = {}
+    for column, kind in enumerate(TEST_KINDS):
+        exceed = int(np.sum(surrogate_stats[:, column] >= threshold[column]))
+        results[kind] = LrdTestResult(
+            statistic=float(observed[column]),
+            bandwidth=bandwidth,
+            p_value=(1.0 + exceed) / (1.0 + n_surrogates),
+            n_surrogates=n_surrogates,
+            block_size=block_size,
+            test_kind=kind,
+            n_redraws=redraws,
+        )
+    return results
 
 
 def bootstrap_lrd_tests(
@@ -243,43 +377,12 @@ def bootstrap_lrd_tests(
     two (``series._unit_scaled``), so ``x * 2**j`` gives the same results as
     ``x`` and magnitudes such as 1e152 or 1e-165 neither overflow nor
     underflow; ``_observed`` still refuses a series whose mean overflows.
+    This is the one-series case of ``_panel_tests``, which evaluates the
+    series of one length together and gives each the results it gets here.
 
     Returns a dict keyed by test kind.
     """
-    block_size = _as_int(block_size, "block size")
-    n_surrogates = _as_int(n_surrogates, "surrogate count")
-    seed = _as_int(seed, "seed")
-    values = as_values(series, min_length=2)
-    n = values.size
-    if block_size < 1:
-        raise InvalidInputError(f"block size must be positive, got {block_size}")
-    if n < 2 * block_size:
-        raise InvalidInputError(
-            f"need at least {2 * block_size} observations for block size {block_size}, got {n}"
-        )
-    if not 1 <= n_surrogates <= MAX_SURROGATES:
-        raise InvalidInputError(f"need 1 to {MAX_SURROGATES} surrogates, got {n_surrogates}")
-    if n_surrogates * (n // block_size) > 1 << 28:  # 512 MiB of int16 block orders
-        raise InvalidInputError(f"{n_surrogates} surrogates of {n // block_size} blocks pass 2**28 block orders")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
-
-    observed, bandwidth = _observed(values)
-    kernel = _block_kernel(_unit_scaled(values)[0], block_size)
-    surrogate_stats, total_redraws, own = _ensemble(kernel, n // block_size, n_surrogates, seed)
-    # The series in its own order ties the observed statistics, but the
-    # kernel rounds it differently: a surrogate reaching either value counts.
-    threshold = np.fmin(observed, own)
-    results: dict[str, LrdTestResult] = {}
-    for column, kind in enumerate(TEST_KINDS):
-        exceed = int(np.sum(surrogate_stats[:, column] >= threshold[column]))
-        results[kind] = LrdTestResult(
-            statistic=float(observed[column]),
-            bandwidth=bandwidth,
-            p_value=(1.0 + exceed) / (1.0 + n_surrogates),
-            n_surrogates=n_surrogates,
-            block_size=block_size,
-            test_kind=kind,
-            n_redraws=total_redraws,
-        )
-    return results
+    (outcome,) = _panel_tests([series], block_size, n_surrogates, seed)
+    if isinstance(outcome, ToolkitError):
+        raise outcome
+    return outcome

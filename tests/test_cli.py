@@ -433,6 +433,33 @@ class TestLrdtestPanel:
         assert captured.out == ""
         assert captured.err == "error: need at least 50 observations for min_scale 10, got 40\n"
 
+    def test_constant_series_in_a_stack_fails_with_its_error(self, tmp_path, capsys):
+        # The three series share a length, so one kernel evaluates them; the
+        # constant one is refused before it and the run stops at its turn.
+        rng = np.random.default_rng(27)
+        paths = [
+            write_values(tmp_path / "a.csv", rng.standard_normal(400)),
+            write_values(tmp_path / "constant.csv", [2.0] * 400),
+            write_values(tmp_path / "b.csv", rng.standard_normal(400)),
+        ]
+        out = tmp_path / "report.json"
+        assert main(["lrdtest", *paths, "--surrogates", "20", "--out", str(out),
+                     "--fluctuation-out", str(tmp_path / "fl")]) == 1
+        assert capsys.readouterr().err == (
+            "error: series variance is zero or not finite, or its long-run variance is not positive\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "constant.csv"]
+
+    def test_earlier_dfa_error_comes_first_in_a_stack(self, tmp_path, capsys):
+        # Both series have 40 points: the first passes its bootstrap at block
+        # size 5 and fails DFA, the second would fail its bootstrap.
+        short = write_values(tmp_path / "short.csv", np.random.default_rng(28).standard_normal(40))
+        constant = write_values(tmp_path / "constant.csv", [2.0] * 40)
+        assert main(["lrdtest", short, constant, "--block-size", "5", "--surrogates", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 50 observations for min_scale 10, got 40\n"
+
     def test_zero_fluctuation_warnings_in_series_order(self, tmp_path, capsys):
         # Steps between exact plateaus are linear inside every box that does
         # not straddle them; the run stops at the constant series' bootstrap,

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -431,3 +432,115 @@ class TestNullDistribution:
             p = iid_bootstrap_pvalues[kind]
             assert p.size == IID_SIZE_SEEDS
             assert ks_against_uniform(p) < 0.15
+
+
+class TestPanelTests:
+    """``lrd._panel_tests`` evaluates the series of one length in stacks;
+    each series must get what ``bootstrap_lrd_tests`` gives it alone."""
+
+    @staticmethod
+    def panel(lengths, seed=50):
+        return [ar1(0.3 + 0.15 * (i % 4), n, seed=seed + i) for i, n in enumerate(lengths)]
+
+    @pytest.mark.parametrize("stack_values", [lrd.STACK_VALUES, 1, 3 * 2100])
+    def test_each_series_as_alone(self, monkeypatch, stack_values):
+        # The default stacks every series of a length; one value per stack
+        # gives stacks of one series and slices of one surrogate; 6,300
+        # values split the 2,100-point series into stacks of three.
+        panel = self.panel([600, 2100, 600, 2100, 2100, 2100, 2100, 1013])
+        monkeypatch.setattr(lrd, "STACK_VALUES", stack_values)
+        outcomes = lrd._panel_tests(panel, 25, 60, 8)
+        monkeypatch.undo()
+        for x, outcome in zip(panel, outcomes):
+            assert outcome == bootstrap_lrd_tests(x, n_surrogates=60, seed=8)
+
+    @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2), (10000, 1)])
+    def test_stacked_kernel_rows_equal_lone_kernels(self, n, block_size):
+        # Tabled pairs; multiplied pairs; rows of 10,001 slots, past the
+        # 8,192 values that einsum sums alone in one part.
+        stack = np.stack(self.panel([n] * 3))
+        orders = lrd._block_orders(6, 12, n // block_size)
+        stacked = lrd._block_kernel(stack, block_size)(orders, own=True)
+        assert [a.shape[:2] for a in stacked] == [(3, 13)] * 3
+        for row, values in enumerate(stack):
+            kernel = lrd._block_kernel(values, block_size)
+            for got, expected in zip(stacked, kernel(orders, own=True)):
+                assert np.array_equal(got[row], expected)
+            # One surrogate at a time, as a redraw evaluates it, and the own order.
+            for i, order in [(0, orders[0]), (7, orders[7]), (12, np.arange(n // block_size))]:
+                for got, expected in zip(stacked, kernel(order[None, :])):
+                    assert np.array_equal(got[row, i], expected[0])
+
+    def test_block_orders_drawn_once_per_length(self):
+        # The orders cache keeps one key, so taking the series in turn drew
+        # them again at every change of length.
+        panel = self.panel([600, 5000, 600, 5000])
+        lrd._block_orders.cache_clear()
+        lrd._panel_tests(panel, 25, 100, 3)
+        assert lrd._block_orders.cache_info().misses == 2
+
+    def test_errors_take_their_series_place(self):
+        noise = self.panel([400, 400, 40])
+        panel = [noise[0], np.full(400, 2.0), noise[1], noise[2], [1.0, np.nan, 2.0]]
+        outcomes = lrd._panel_tests(panel, 25, 50, 4)
+        for index in (0, 2):
+            assert outcomes[index] == bootstrap_lrd_tests(panel[index], n_surrogates=50, seed=4)
+        for index in (1, 3, 4):
+            with pytest.raises(type(outcomes[index]), match=re.escape(str(outcomes[index]))):
+                bootstrap_lrd_tests(panel[index], n_surrogates=50, seed=4)
+        assert isinstance(outcomes[1], DegenerateVarianceError)
+        assert all(isinstance(outcomes[i], InvalidInputError) for i in (3, 4))
+
+    def test_invalid_parameter_fails_every_series(self):
+        outcomes = lrd._panel_tests(self.panel([300, 400]), 2.5, 50, 4)
+        assert [str(error) for error in outcomes] == ["block size must be an integer, got 2.5"] * 2
+
+    def test_degenerate_surrogates_in_a_stack_redrawn_as_alone(self, monkeypatch):
+        # Every surrogate of the second series is forced degenerate in the
+        # ensemble call, stacked or alone. Each is redrawn from its own
+        # generator on a kernel of that series alone, as in the lone run.
+        panel = self.panel([1013, 1013, 1013])
+        second = lrd._unit_scaled(panel[1])[0]
+        real = lrd._block_kernel
+
+        def forced(values, block_size):
+            kernel = real(values, block_size)
+            match = np.array([np.array_equal(row, second) for row in values.reshape(-1, values.shape[-1])])
+
+            def call(orders, own=False):
+                statistics, bandwidths, degenerate = kernel(orders, own)
+                if len(orders) > 1:
+                    degenerate.reshape(match.size, -1)[match, : len(orders)] = True
+                return statistics, bandwidths, degenerate
+
+            return call
+
+        monkeypatch.setattr(lrd, "_block_kernel", forced)
+        outcomes = lrd._panel_tests(panel, 25, 40, 6)
+        alone = bootstrap_lrd_tests(panel[1], n_surrogates=40, seed=6)
+        monkeypatch.undo()
+        assert outcomes[1]["rescaled_range"].n_redraws == 40
+        assert outcomes[1] == alone
+        expected, _ = serial_ensemble(panel[1], 25, 40, 6, second_draw=set(range(40)))
+        for column, kind in enumerate(TEST_KINDS):
+            exceed = int(np.sum(expected[:, column] >= outcomes[1][kind].statistic))
+            assert outcomes[1][kind].p_value == (1.0 + exceed) / 41.0
+        for index in (0, 2):
+            assert outcomes[index] == bootstrap_lrd_tests(panel[index], n_surrogates=40, seed=6)
+
+    @pytest.mark.parametrize("n_series, n, block_size, n_surrogates", [
+        (24, 2500, 25, 1000),  # the benchmark panel's shape
+        (4, 25650, 25, 1000),  # multiplied block pairs; stacks of two series
+        (4, 25650, 1, 100),  # 25,650 one-value blocks; stacks of two series, slices of one surrogate
+    ])
+    def test_memory_stays_bounded(self, n_series, n, block_size, n_surrogates):
+        panel = [ar1(0.0 if block_size == 1 else 0.9, n, seed=60 + i) for i in range(n_series)]
+        lrd._block_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            outcomes = lrd._panel_tests(panel, block_size, n_surrogates, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+        assert peak <= 16 * 2**20

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrdkit as lk
 from lrdkit.errors import DegenerateVarianceError, InvalidInputError
@@ -262,3 +264,36 @@ class TestRowSums:
         assert sums.tolist() == alone
         for subset in self.SUBSETS:
             assert _row_sums(form, *self.rows(operands, subset)).tolist() == sums[subset].tolist()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @example(n=8191, series=2, rows=3, strided=False, seed=0)
+    @example(n=8192, series=3, rows=2, strided=True, seed=1)
+    @example(n=8193, series=2, rows=2, strided=False, seed=2)
+    @example(n=16385, series=2, rows=3, strided=True, seed=3)
+    @given(
+        n=st.sampled_from([1, 2, 101, 8191, 8192, 8193, 16384, 16385]),
+        series=st.integers(1, 4),
+        rows=st.integers(1, 4),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_rows_are_summed_as_their_one_row_calls(self, n, series, rows, strided, seed):
+        # The bootstrap sums (S, k, B + 1) stacks of gathered block values
+        # over their last axis; each (s, i) row must get its lone sum.
+        rng = np.random.default_rng(seed)
+        if strided:
+            table = rng.standard_normal(97) * 1e3 + 7.0
+            a, b = (np.take(table, rng.integers(0, 97, size=(series, rows, n + 1)))[..., :-1] for _ in range(2))
+        else:
+            a, b = rng.standard_normal((2, series, rows, n)) * 1e3 + 7.0
+        weights = rng.uniform(0.5, 2.0, n)
+        for stacked, form, operands in [
+            ("skj,skj->sk", "kj,kj->k", (a, b)),
+            ("skj,j->sk", "kj,j->k", (a, weights)),
+            ("skj,skj,j->sk", "kj,kj,j->k", (a, b, weights)),
+        ]:
+            sums = _row_sums(stacked, *operands)
+            assert sums.shape == (series, rows)
+            for s, i in np.ndindex(series, rows):
+                alone = _row_sums(form, *(x[s, i: i + 1] if x.ndim == 3 else x for x in operands))
+                assert sums[s, i].tolist() == alone[0].tolist()
