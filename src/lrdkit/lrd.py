@@ -42,10 +42,11 @@ TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
 # Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
 # which the pairs are multiplied. STACK_VALUES is the one value budget of the
-# kernel's slices (512 kB of floats): each (S, k, B + 1) order-free quantity
-# of S series and k surrogates, the S n values of one stack's tables, and per
-# series the (k, B + 1) looked-up pairs, or without tables the (k, B + 1, b)
-# blocks of the multiplied pairs.
+# bootstrap (512 kB of floats): each (S, k, B + 1) order-free quantity of S
+# series and k surrogates, the S n values of one stack's tables and the
+# S (k + 1) values of each of its results, and per series the (k, B + 1, b)
+# blocks of the multiplied pairs. Looked-up pairs take an eighth of it, so
+# that their (k, B + 1) index arrays stay below the allocator's mmap threshold.
 TABLE_ENTRIES, STACK_VALUES = 1 << 20, 1 << 16
 
 
@@ -164,7 +165,7 @@ def _block_kernel(values: np.ndarray, block_size: int):
     lag1_within = (blocks[..., :-1] * blocks[..., 1:]).reshape(n_series, -1).sum(axis=1)
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
     step = max(1, STACK_VALUES // (n_series * (n_blocks + 1)))
-    cross_step = max(1, STACK_VALUES // (n_blocks + 1 if tabled else blocks[0].size))
+    cross_step = max(1, (STACK_VALUES >> 3) // (n_blocks + 1) if tabled else STACK_VALUES // blocks[0].size)
 
     def slots(orders: np.ndarray, own: bool = False) -> np.ndarray:
         """(k, B + 1) block indices by slot, with the series' own order as
@@ -293,8 +294,9 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
     its results, or the ``ToolkitError`` it raises. Raises none itself.
 
     Series of one length share their block orders, drawn once, and one
-    ``_block_kernel`` stack holds up to ``STACK_VALUES // n`` of them (at
-    least one), which bounds its tables as its slices bound its gathers.
+    ``_block_kernel`` stack holds up to ``STACK_VALUES // max(n, k + 1)`` of
+    them for k surrogates (at least one), which bounds its tables and its
+    per-surrogate results as its slices bound its gathers.
     Every row is summed as alone, so each series gets what it gets alone; a
     series with degenerate surrogates redraws them on a kernel of its own.
     """
@@ -316,7 +318,7 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
     for n, members in lengths.items():
         n_blocks = n // block_size
         orders = _block_orders(seed, n_surrogates, n_blocks)
-        width = max(1, STACK_VALUES // n)
+        width = max(1, STACK_VALUES // max(n, n_surrogates + 1))
         for start in range(0, len(members), width):
             indices, rows = zip(*members[start: start + width])
             stack = _unit_scaled(np.stack(rows))[0]

@@ -544,3 +544,20 @@ class TestPanelTests:
             tracemalloc.stop()
         assert not any(isinstance(outcome, Exception) for outcome in outcomes)
         assert peak <= 16 * 2**20
+
+    def test_large_ensemble_memory_stays_that_of_one_series(self):
+        # A stack's per-surrogate results come from the same budget as its
+        # tables: 24 short series at 10^5 surrogates run one at a time and
+        # peak near one series' run, not 24 times it.
+        panel = self.panel([50] * 24)
+        lrd._block_orders(3, 100_000, 10)  # drawn before tracing, shared by both runs
+        peaks, outcomes = [], []
+        for members in (panel[:1], panel):
+            tracemalloc.start()
+            try:
+                outcomes.append(lrd._panel_tests(members, 5, 100_000, 3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert outcomes[1][0] == outcomes[0][0]
+        assert peaks[1] <= 2 * peaks[0]
