@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     ToolkitError,
 )
-from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _row_sums, _unit_scaled, as_values
+from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _unit_scaled, as_values
 from .surrogates import MAX_SURROGATES
 
 __all__ = [
@@ -42,7 +42,7 @@ TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
 # Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
 # which the pairs are multiplied. STACK_VALUES is the one value budget of the
-# bootstrap (512 kB of floats): each (S, k, B + 1) order-free quantity of S
+# bootstrap (512 kB of floats): each (B + 1, k, S) order-free quantity of S
 # series and k surrogates, the S n values of one stack's tables and the
 # S (k + 1) values of each of its results, and per series the (k, B + 1, b)
 # blocks of the multiplied pairs. Looked-up pairs take an eighth of it, so
@@ -134,16 +134,20 @@ def _block_kernel(values: np.ndarray, block_size: int):
     plus each block's own partial sums, whose extremes and moments are
     tabled. These order-free parts are evaluated for the whole stack at
     once: each slice of ``STACK_VALUES // (S (B + 1))`` surrogates (at least
-    one) builds its slots once and gathers the six (S, B + 1) per-block
-    tables together. The cross products depend on each series' bandwidths
+    one) builds its slots once, slot-major, and gathers from six slot-major
+    (B + 1, S) per-block tables, so one gathered row holds a block's value
+    for every series. The cross products depend on each series' bandwidths
     and pair tables, so they run series by series, holding at most one
     table. Returns a function of (k, B) block orders that gives, as arrays
     with the stack's leading axis, what ``series._row_statistics`` gives for
-    each series and surrogate. Every row is summed alone
-    (``series._row_sums``), so a row rounds the same whatever other rows and
-    series it is evaluated with, at any B: each series of a stack gets what
-    it gets alone. With ``own=True`` the series' own order is evaluated too,
-    as a last row of the last slice, sharing the ensemble's tables.
+    each series and surrogate. Each per-series, per-surrogate sum adds its
+    slots in slot order, in every stack and slice; a call of one row on one
+    series evaluates that row twice to keep this order. So a row rounds the
+    same whatever other rows and series it is evaluated with, at any B: each
+    series of a stack gets what it gets alone, and a redraw what it would
+    get in the ensemble. With ``own=True`` the series' own order is
+    evaluated too, as a last row of the last slice, sharing the ensemble's
+    tables.
     """
     stack = values.reshape(-1, values.shape[-1])
     n_series, n = stack.shape
@@ -157,44 +161,56 @@ def _block_kernel(values: np.ndarray, block_size: int):
     real = np.arange(b) < lengths[:, None]
     means = np.where(real, partial, 0.0).sum(axis=2) / np.maximum(lengths, 1.0)
     spread_ss = (np.where(real, partial - means[..., None], 0.0) ** 2).reshape(n_series, -1).sum(axis=1)
-    # Per-block tables: the last and first values, the sums, and the profile
-    # offsets within each block, from the block's end.
-    lasts, firsts, sums = blocks[..., -1], blocks[..., 0], partial[..., -1]
-    peaks, troughs, means = partial.max(axis=2) - sums, partial.min(axis=2) - sums, means - sums
+    # Per-block tables, slot-major (B + 1, S): the last and first values, the
+    # sums, and the profile offsets within each block, from the block's end.
+    sums = partial[..., -1]
+    lasts, firsts, sums, peaks, troughs, means = (np.ascontiguousarray(table.T) for table in (
+        blocks[..., -1], blocks[..., 0], sums, partial.max(axis=2) - sums, partial.min(axis=2) - sums, means - sums))
     gamma0 = (blocks * blocks).reshape(n_series, -1).sum(axis=1)
     lag1_within = (blocks[..., :-1] * blocks[..., 1:]).reshape(n_series, -1).sum(axis=1)
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
     step = max(1, STACK_VALUES // (n_series * (n_blocks + 1)))
     cross_step = max(1, (STACK_VALUES >> 3) // (n_blocks + 1) if tabled else STACK_VALUES // blocks[0].size)
 
-    def slots(orders: np.ndarray, own: bool = False) -> np.ndarray:
+    def slots(orders: np.ndarray, own: bool = False, by_slot: bool = False) -> np.ndarray:
         """(k, B + 1) block indices by slot, with the series' own order as
-        one more row if ``own``; the tail is last."""
-        o = np.empty((len(orders) + own, n_blocks + 1), dtype=np.intp)
+        one more row if ``own``; the tail is last. With ``by_slot`` they are
+        the transpose of a C-ordered (B + 1, k) array, filled as such."""
+        shape = (len(orders) + own, n_blocks + 1)
+        o = np.empty(shape[::-1], dtype=np.intp).T if by_slot else np.empty(shape, dtype=np.intp)
         o[: len(orders), :-1], o[:, -1] = orders, n_blocks
         if own:
             o[-1, :-1] = np.arange(n_blocks)
         return o
 
-    def order_free(o: np.ndarray, work: np.ndarray) -> tuple:
+    def order_free(orders: np.ndarray, own: bool, work: np.ndarray) -> tuple:
         """Lag-1 products, profile range and profile sum of squares of each
-        series and row, as (S, k) arrays. The gathered tables go to two
-        (S, k, B + 1) blocks carved from ``work``, one array that every slice
-        of a kernel call reuses."""
-        size = n_series * len(o) * (n_blocks + 1)
-        ends, other = (work[i * size: (i + 1) * size].reshape(n_series, len(o), -1) for i in range(2))
+        series and row of ``slots(orders, own)``, as (S, k) arrays. The
+        gathered tables go to two (B + 1, k, S) blocks carved from ``work``,
+        one array that every slice of a kernel call reuses, so each gathered
+        element is one block's value for every series. Each (row, series)
+        sum adds its slots in slot order, as einsum adds along the leading
+        axis; one row of one series would be a contiguous run that einsum
+        reduces in another order, so that call evaluates its row twice and
+        keeps one."""
+        o = slots(orders, own, by_slot=True).T
+        rows = o.shape[1]
+        if rows * n_series == 1:
+            o = np.repeat(o, 2, axis=1)
+        size = o.size * n_series
+        ends, other = (work[i * size: (i + 1) * size].reshape(o.shape + (n_series,)) for i in range(2))
 
         def gather(table, out):
-            return np.take(table, o, axis=1, out=out, mode="clip")
+            return np.take(table, o, axis=0, out=out, mode="clip")
 
-        lag1 = _row_sums("skj,skj->sk", gather(lasts, ends)[..., :-1], gather(firsts, other)[..., 1:])
-        np.cumsum(gather(sums, other), axis=2, out=ends)
-        spread = np.add(ends, gather(peaks, other), out=other).max(axis=2)
-        spread -= np.add(ends, gather(troughs, other), out=other).min(axis=2)
+        lag1 = np.einsum("jks,jks->ks", gather(lasts, ends)[:-1], gather(firsts, other)[1:])
+        np.cumsum(gather(sums, other), axis=0, out=ends)
+        spread = np.add(ends, gather(peaks, other), out=other).max(axis=0)
+        spread -= np.add(ends, gather(troughs, other), out=other).min(axis=0)
         centres = np.add(ends, gather(means, other), out=other)
-        centres -= _row_sums("skj,j->sk", centres, lengths)[..., None] / n
-        return (lag1_within[:, None] + lag1, spread,
-                spread_ss[:, None] + _row_sums("skj,skj,j->sk", centres, centres, lengths))
+        centres -= np.einsum("jks,j->ks", centres, lengths) / n
+        prof_ss = np.einsum("jks,jks,j->ks", centres, centres, lengths)
+        return tuple(part[:rows].T for part in (lag1_within + lag1, spread, spread_ss + prof_ss))
 
     def cross_products(x: np.ndarray, orders: np.ndarray, own: bool, bandwidths: np.ndarray) -> np.ndarray:
         """Each row's Bartlett-weighted products between the blocks X = ``x``
@@ -224,8 +240,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
     def kernel(orders: np.ndarray, own: bool = False):
         k = len(orders)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            work = np.empty(2 * n_series * (min(step, k) + own) * (n_blocks + 1))
-            parts = [order_free(slots(orders[start: start + step], own and start + step >= k), work)
+            # Room for the largest slice, and for a one-row call's second row.
+            work = np.empty(2 * max(n_series * (min(step, k) + own), 2) * (n_blocks + 1))
+            parts = [order_free(orders[start: start + step], own and start + step >= k, work)
                      for start in range(0, k, step)]
             lag1, spread, prof_var = (np.concatenate(part, axis=1) for part in zip(*parts))
             rho = lag1 / gamma0[:, None]
@@ -242,16 +259,13 @@ def _block_kernel(values: np.ndarray, block_size: int):
 
 
 def _ensemble(kernel, n_blocks: int, n_surrogates: int, seed: int,
-              evaluated=None) -> tuple[np.ndarray, int, np.ndarray]:
+              evaluated: tuple) -> tuple[np.ndarray, int, np.ndarray]:
     """Statistics of every surrogate as (n_surrogates, 2), the redraws, and
     the statistics of the series in its own order. ``evaluated`` is the
-    series' statistics and degenerate flags from a stacked kernel call over
-    the block orders and its own order; without it, ``kernel`` makes that
-    call. Redraws run on ``kernel``, a kernel of the series alone."""
-    if evaluated is None:
-        statistics, _, degenerate = kernel(_block_orders(seed, n_surrogates, n_blocks), own=True)
-    else:
-        statistics, degenerate = evaluated
+    series' statistics and degenerate flags from a kernel call over the
+    block orders and its own order. Redraws run on ``kernel``, a kernel of
+    the series alone."""
+    statistics, degenerate = evaluated
     own, statistics, degenerate = statistics[-1], statistics[:-1], degenerate[:-1]
     redraw_budget = 10 * n_surrogates
     redraws = 0
@@ -297,8 +311,9 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
     ``_block_kernel`` stack holds up to ``STACK_VALUES // max(n, k + 1)`` of
     them for k surrogates (at least one), which bounds its tables and its
     per-surrogate results as its slices bound its gathers.
-    Every row is summed as alone, so each series gets what it gets alone; a
-    series with degenerate surrogates redraws them on a kernel of its own.
+    Every row adds its slots in slot order, so each series gets what it gets
+    alone; a series with degenerate surrogates redraws them on a kernel of
+    its own.
     """
     try:
         block_size = _as_int(block_size, "block size")
@@ -323,9 +338,6 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
             indices, rows = zip(*members[start: start + width])
             stack = _unit_scaled(np.stack(rows))[0]
             statistics, _, degenerate = _block_kernel(stack, block_size)(orders, own=True)
-            # (S, k + 1) rows; a stand-in kernel may give one series' rows unstacked.
-            statistics = statistics.reshape(len(indices), -1, 2)
-            degenerate = degenerate.reshape(len(indices), -1)
             for row, index in enumerate(indices):
                 alone = _block_kernel(stack[row], block_size) if degenerate[row, :-1].any() else None
                 try:

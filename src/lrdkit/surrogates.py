@@ -27,7 +27,7 @@ import numpy as np
 from .dfa import _work_size
 from .errors import InvalidInputError
 from .series import TimeSeries, _as_int, as_values
-from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _validate_grid, _validate_pair
+from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _scaled_pair, _validate_grid
 
 __all__ = [
     "SurrogateConfig",
@@ -181,9 +181,11 @@ def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = N
             raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     if config is None:
         config = SurrogateConfig()
-    xv, yv = _validate_pair(x, y)
+    # AAFT reorders the source values, so the surrogates of the scaled pair
+    # are the scaled surrogates.
+    xv, yv, _, overflows = _scaled_pair(x, y)
     grids = {method: _validate_grid(scales, method, xv.size) for method, scales in grids.items()}
-    observed = [rho for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
+    observed = [np.where(overflows, np.nan, rho) for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
     flagged = [np.isnan(rho) for rho in observed]
     for grid, nan in zip(grids.values(), flagged):
         if nan.any():

@@ -9,6 +9,12 @@ evaluated only where the window fits entirely inside the series.
 
 The covariance numerator may be negative, so the coefficient lives in
 [-1, 1] and is never obtained from a square root.
+
+Both coefficients are scale-free, so every estimate is taken of each series
+scaled by an exact power of two (``series._unit_scaled``): ``x * 2**j``
+gives the same coefficients as ``x``, and magnitudes such as 1e152 or
+1e-165 neither overflow nor underflow. Covariances are scaled back to data
+units with ``np.ldexp``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .dfa import _check_grid, _check_scale, _detrended_moments, _profile_values
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import _integral, as_values
+from .series import _integral, _unit_scaled, as_values
 
 __all__ = [
     "DCCA_DEFAULT_SCALES",
@@ -64,14 +70,22 @@ class ScaleCorrelogram:
             raise InvalidInputError("coefficients must lie in [-1, 1]")
 
 
-def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_pair(x, y) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The values of a valid pair, each series scaled by its exact power of
+    two; the exponent that takes their products back to data units; and
+    whether the pair is degenerate at every scale. A series whose variance
+    passes the float range in data units, as that of alternating values of
+    +-1e300 does, makes it so, as ``hac_variance`` refuses such a series."""
     xv = as_values(x, min_length=8)
     yv = as_values(y, min_length=8)
     if xv.size != yv.size:
         raise InvalidInputError(
             f"series lengths differ: {xv.size} vs {yv.size}"
         )
-    return xv, yv
+    (xv, ex), (yv, ey) = _unit_scaled(xv), _unit_scaled(yv)
+    with np.errstate(over="ignore"):
+        variances = np.ldexp([xv.var(), yv.var()], [2 * ex[0], 2 * ey[0]])
+    return xv, yv, int(ex[0] + ey[0]), not np.isfinite(variances).all()
 
 
 def _check_window(window: int, n: int) -> None:
@@ -93,14 +107,16 @@ def _coefficient(sxy, sxx, syy):
 
 def _at_scale(x, y, method: str, scale: int) -> tuple[float, float]:
     """Detrended covariance and coefficient, NaN if degenerate, at one scale."""
-    xv, yv = _validate_pair(x, y)
+    xv, yv, exponent, overflows = _scaled_pair(x, y)
     (_check_scale if method == "dcca" else _check_window)(scale, xv.size)
     n, s = xv.size, int(scale)
     sxy, sxx, syy = _detrended_moments(
         _profile_values(xv)[None, :], _profile_values(yv)[None, :], np.array([s]), method
     )[:, 0, 0]
     count = 2 * (n // s) * s if method == "dcca" else n - s + 1
-    return float(sxy / count), float(_coefficient(sxy, sxx, syy))
+    with np.errstate(over="ignore"):
+        covariance = np.ldexp(sxy / count, exponent)
+    return float(covariance), np.nan if overflows else float(_coefficient(sxy, sxx, syy))
 
 
 def _nondegenerate(value: float, where: str) -> float:
@@ -170,10 +186,10 @@ def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
     """
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    xv, yv = _validate_pair(x, y)
+    xv, yv, _, overflows = _scaled_pair(x, y)
     grid = _validate_grid(scales, method, xv.size)
     (rho,) = _coefficient_curves(xv[None, :], yv[None, :], {method: grid})[0]
-    bad = np.isnan(rho)
+    bad = np.isnan(rho) | overflows
     if bad.any():
         where = ", ".join(str(int(s)) for s in grid[bad])
         raise DegenerateScaleError(f"zero fluctuation at scales: {where}")

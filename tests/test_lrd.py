@@ -27,18 +27,22 @@ from oracles import m_stat_naive, permute_blocks, v_stat_naive
 
 
 def scripted_kernel(script):
-    """Stand-in for ``lrd._block_kernel``: evaluation i gives every order row
-    the value ``script[i]`` for both statistics, or marks every row
-    degenerate for None."""
+    """Stand-in for ``lrd._block_kernel``: evaluation i, by any kernel it
+    made, gives every order row of every series the value ``script[i]`` for
+    both statistics, or marks every row degenerate for None. Its results
+    take the real kernel's shapes: ``values.shape[:-1] + (k,)``."""
     calls = iter(script)
 
-    def kernel(orders, own=False):
-        value = next(calls)
-        k = len(orders) + own
-        statistics = np.full((k, 2), np.nan if value is None else value)
-        return statistics, np.zeros(k, dtype=np.int64), np.full(k, value is None)
+    def block_kernel(values, block_size):
+        def kernel(orders, own=False):
+            value = next(calls)
+            shape = values.shape[:-1] + (len(orders) + own,)
+            statistics = np.full(shape + (2,), np.nan if value is None else value)
+            return statistics, np.zeros(shape, dtype=np.int64), np.full(shape, value is None)
 
-    return lambda values, block_size: kernel
+        return kernel
+
+    return block_kernel
 
 
 def observed_one(values, bandwidth=None):
@@ -70,6 +74,16 @@ def serial_ensemble(values, block_size, n_surrogates, seed, second_draw=()):
         stats[i] = rescaled_range_statistic(surrogate, q), rescaled_variance_statistic(surrogate, q)
         bandwidths.append(q)
     return stats, bandwidths
+
+
+def kernel_ensemble(values, block_size, n_surrogates, seed):
+    """``lrd._ensemble`` on the kernel call that ``lrd._panel_tests`` makes
+    for a series: its block orders and its own order in one call, with its
+    redraws on the same kernel of the series alone."""
+    kernel = lrd._block_kernel(values, block_size)
+    n_blocks = values.size // block_size
+    statistics, _, degenerate = kernel(lrd._block_orders(seed, n_surrogates, n_blocks), own=True)
+    return lrd._ensemble(kernel, n_blocks, n_surrogates, seed, (statistics, degenerate))
 
 
 def ks_against_uniform(p_values):
@@ -256,12 +270,13 @@ class TestChunkedEnsemble:
     @pytest.mark.parametrize("phi", [0.0, 0.85])
     def test_matches_one_surrogate_at_a_time(self, phi):
         values = ar1(phi, 1013, seed=40)
-        stats, redraws, _ = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
+        stats, redraws, _ = kernel_ensemble(values, 25, 150, 17)
         expected, bandwidths = serial_ensemble(values, 25, 150, 17)
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert redraws == 0
         if phi > 0:
-            # The reference takes both the direct and the FFT route.
+            # Bandwidths on both sides of 32 lags, as persistent series give
+            # them: cross products one and several blocks apart.
             assert min(bandwidths) <= 32 < max(bandwidths)
 
         q = auto_bandwidth(values)
@@ -291,7 +306,7 @@ class TestChunkedEnsemble:
             return forced
 
         monkeypatch.setattr(lrd, "_block_kernel", degenerate_row_101_of_first_call)
-        stats, redraws, _ = lrd._ensemble(lrd._block_kernel(values, 25), 40, 150, 17)
+        stats, redraws, _ = kernel_ensemble(values, 25, 150, 17)
         assert redraws == 1
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
 
@@ -361,8 +376,9 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n_blocks", [100, 8191, 8192, 10000])
     def test_own_order_rounds_as_alone(self, n_blocks):
         # The ensemble's call also evaluates the series' own order, as the
-        # last row of its last slice; every row is summed as alone, so past
-        # 8,191 blocks it still rounds as the lone call does.
+        # last row of its last slice. Every row adds its slots in slot order,
+        # in a slice of many rows as in the lone call, which evaluates its
+        # one row twice; so at any number of blocks the two round alike.
         block_size = 25 if n_blocks == 100 else 1
         for seed in range(3):
             values = ar1(0.5, n_blocks * block_size + block_size // 2, seed=seed)
@@ -377,8 +393,9 @@ class TestBlockKernel:
             assert np.array_equal(bandwidths[:-1], ensemble[1])
 
     def test_each_row_rounds_as_alone_past_8191_blocks(self):
-        # At 10,000 blocks of one value each order-free row sums more than
-        # 8,192 values, where einsum rounds a batched row apart from a lone one.
+        # At 10,000 blocks of one value each order-free row sums 10,001
+        # slots, a long run that einsum, given it alone, would reduce in
+        # another order than slot by slot.
         values = ar1(0.5, 10000, seed=6)
         kernel = lrd._block_kernel(values, 1)
         orders = lrd._block_orders(6, 12, 10000)
@@ -387,6 +404,23 @@ class TestBlockKernel:
             alone = kernel(orders[i: i + 1])
             assert np.array_equal(alone[0][0], stats[i])
             assert alone[1][0] == bandwidths[i] and alone[2][0] == degenerate[i]
+
+    @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2)])
+    def test_redraw_rows_equal_their_ensemble_rows(self, n, block_size):
+        # A redraw is a call of one row on a kernel of one series, a run of
+        # slots that einsum alone would reduce in another order than the
+        # stacked slices do. Every surrogate and the own order of every
+        # series of the stack (123 rows) must round there as in the ensemble.
+        panel = np.stack([ar1(phi, n, seed=70 + i) for i, phi in enumerate((0.0, 0.5, 0.9))])
+        stack = lrd._unit_scaled(panel)[0]
+        n_blocks = n // block_size
+        orders = lrd._block_orders(7, 40, n_blocks)
+        stacked = lrd._block_kernel(stack, block_size)(orders, own=True)
+        for row, values in enumerate(stack):
+            kernel = lrd._block_kernel(values, block_size)
+            for i, order in enumerate([*orders, np.arange(n_blocks)]):
+                for got, alone in zip(stacked, kernel(order[None, :])):
+                    assert np.array_equal(got[row, i], alone[0])
 
     def test_zero_bandwidths_on_multiplied_blocks(self):
         # 1026 blocks of 25 at the default block size: slices of two
@@ -419,7 +453,7 @@ class TestBlockKernel:
         # statistics for this seed.
         values = ar1(0.3, 60, seed=41)
         identity = lrd._block_orders(9, 200, 2)[:, 0] == 0
-        stats, _, _ = lrd._ensemble(lrd._block_kernel(values, 25), 2, 200, 9)
+        stats, _, _ = kernel_ensemble(values, 25, 200, 9)
         results = bootstrap_lrd_tests(values, n_surrogates=200, seed=9)
         for column, kind in enumerate(TEST_KINDS):
             exceed = identity.sum() + np.sum(stats[~identity, column] >= results[kind].statistic)

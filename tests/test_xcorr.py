@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrdkit as lk
 from lrdkit.dfa import dfa_fluctuation
 from lrdkit.errors import DegenerateScaleError, InvalidInputError
+from lrdkit.surrogates import SurrogateConfig, _ensemble_significance
 from lrdkit.xcorr import (
     DCCA_DEFAULT_SCALES,
     DMCA_DEFAULT_WINDOWS,
@@ -229,3 +234,60 @@ class TestCoefficientCurves:
             alone = _coefficient_curves(xv[i: i + 1], yv[i: i + 1], grids)
             for rows, row in zip(chunk, alone):
                 assert np.array_equal(rows[i], row[0])
+
+
+class TestPowerOfTwoScaling:
+    """Each series is scaled by an exact power of two before any estimate,
+    so coefficients do not depend on either series' magnitude, and
+    covariances scale back exactly. A series whose variance passes the
+    float range in data units is degenerate, which for this pair is past
+    2**500."""
+
+    # A pair whose smallest |value| stays a normal double at 2**-1000.
+    RNG = np.random.default_rng(43)
+    X = np.cumsum(RNG.standard_normal(400)) + 100.0
+    Y = 0.5 * X + RNG.standard_normal(400) * 10.0 + 100.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @example(j=-1000, i=500)
+    @example(j=500, i=500)
+    @example(j=-1000, i=-1000)
+    @given(j=st.integers(-1000, 500), i=st.integers(-1000, 500))
+    def test_estimates_are_exact_at_every_power_of_two(self, j, i):
+        assert min(np.abs(self.X).min(), np.abs(self.Y).min()) > 2.0 ** -20
+        x, y = np.ldexp(self.X, j), np.ldexp(self.Y, i)
+        assert dcca_coefficient(x, y, 20) == dcca_coefficient(self.X, self.Y, 20)
+        assert dmca_coefficient(x, y, 21) == dmca_coefficient(self.X, self.Y, 21)
+        with np.errstate(over="ignore", under="ignore"):
+            assert dcca_covariance(x, y, 20) == np.ldexp(dcca_covariance(self.X, self.Y, 20), j + i)
+            assert dmca_covariance(x, y, 21) == np.ldexp(dmca_covariance(self.X, self.Y, 21), j + i)
+        for method in ("dcca", "dmca"):
+            assert np.array_equal(scan_scales(x, y, method).rho, scan_scales(self.X, self.Y, method).rho)
+
+    def test_series_whose_variance_overflows_is_degenerate(self):
+        # As hac_variance refuses it. Before, DCCA read NaN there and DMCA 0.
+        x = np.array([1e300, -1e300] * 200)
+        with pytest.raises(DegenerateScaleError):
+            dcca_coefficient(x, self.Y, 20)
+        with pytest.raises(DegenerateScaleError):
+            dmca_coefficient(x, self.Y, 21)
+        with pytest.raises(DegenerateScaleError):
+            scan_scales(self.Y, x, "dmca")
+        assert np.isfinite(dcca_covariance(x, self.Y, 20))
+        assert np.isfinite(dmca_covariance(x, self.Y, 21))
+
+    @pytest.mark.parametrize("magnitude", [1e152, 1e-165])
+    def test_extreme_magnitudes_keep_their_p_values(self, magnitude):
+        # At 1e152 the detrended moments overflowed and at 1e-165 they
+        # underflowed: every scale was refused as degenerate.
+        grids = {"dcca": None, "dmca": None}
+        config = SurrogateConfig(n_surrogates=100, seed=3)
+        expected = _ensemble_significance(self.X, self.Y, grids, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _ensemble_significance(self.X * magnitude, self.Y * magnitude, grids, config)
+        for method, result in results.items():
+            assert not result.flagged.any()
+            assert np.isfinite(result.surrogate_rho).all()
+            np.testing.assert_allclose(result.rho, expected[method].rho, rtol=0, atol=1e-12)
+            assert np.array_equal(result.p_values, expected[method].p_values)
