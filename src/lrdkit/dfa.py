@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidInputError
-from .series import _as_int, _integral, _row_sums, _unit_scaled, as_values
+from .series import STACK_VALUES, _as_int, _integral, _row_sums, _unit_scaled, as_values
 
 __all__ = [
     "DEFAULT_MIN_SCALE",
@@ -34,8 +34,6 @@ __all__ = [
 
 DEFAULT_MIN_SCALE = 10
 DEFAULT_MAX_SCALE = 500
-# Values per stacked DFA call; its work array holds about 3 * STACK_VALUES floats.
-STACK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +241,9 @@ def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
 
     ``rows`` is a sequence of 1-D arrays, detrended at most
     ``STACK_VALUES // n`` at a time in one :func:`_detrended_moments` call
-    (at least one), which bounds its work array; that kernel sums each row
-    as alone, so each row's values are those it gives alone in any chunk.
+    (at least one), whose work array holds about 3 * STACK_VALUES floats;
+    that kernel sums each row as alone, so each row's values are those it
+    gives alone in any chunk.
     Each row is scaled by the power of two that brings its largest
     absolute value into [0.5, 1) (``series._unit_scaled``), and its
     fluctuation values are scaled back. Both steps are exact, so

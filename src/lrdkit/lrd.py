@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     ToolkitError,
 )
-from .series import _as_int, _lag, _lo_bandwidth, _row_statistics, _unit_scaled, as_values
+from .series import STACK_VALUES, _as_int, _lag, _lo_bandwidth, _row_statistics, _unit_scaled, as_values
 from .surrogates import MAX_SURROGATES
 
 __all__ = [
@@ -41,13 +41,13 @@ __all__ = [
 TEST_KINDS = ("rescaled_range", "rescaled_variance")
 
 # Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
-# which the pairs are multiplied. STACK_VALUES is the one value budget of the
-# bootstrap (512 kB of floats): each (B + 1, k, S) order-free quantity of S
-# series and k surrogates, the S n values of one stack's tables and the
-# S (k + 1) values of each of its results, and per series the (k, B + 1, b)
-# blocks of the multiplied pairs. Looked-up pairs take an eighth of it, so
-# that their (k, B + 1) index arrays stay below the allocator's mmap threshold.
-TABLE_ENTRIES, STACK_VALUES = 1 << 20, 1 << 16
+# which the pairs are multiplied. STACK_VALUES bounds each (B + 1, k, S)
+# order-free quantity of S series and k rows, as far as slices of at least
+# two rows allow, the S n values of one stack's tables and the S (k + 1)
+# values of each of its results, and per series the (k, B + 1, b) blocks of
+# the multiplied pairs. Looked-up pairs take an eighth of it, so that their
+# (k, B + 1) index arrays stay below the allocator's mmap threshold.
+TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -133,21 +133,20 @@ def _block_kernel(values: np.ndarray, block_size: int):
     adjacent blocks. The profile is the running total of the block sums
     plus each block's own partial sums, whose extremes and moments are
     tabled. These order-free parts are evaluated for the whole stack at
-    once: each slice of ``STACK_VALUES // (S (B + 1))`` surrogates (at least
-    one) builds its slots once, slot-major, and gathers from six slot-major
+    once: each slice of ``STACK_VALUES // (S (B + 1))`` rows (at least two)
+    builds its slots once, slot-major, and gathers from six slot-major
     (B + 1, S) per-block tables, so one gathered row holds a block's value
     for every series. The cross products depend on each series' bandwidths
     and pair tables, so they run series by series, holding at most one
     table. Returns a function of (k, B) block orders that gives, as arrays
     with the stack's leading axis, what ``series._row_statistics`` gives for
-    each series and surrogate. Each per-series, per-surrogate sum adds its
-    slots in slot order, in every stack and slice; a call of one row on one
-    series evaluates that row twice to keep this order. So a row rounds the
-    same whatever other rows and series it is evaluated with, at any B: each
-    series of a stack gets what it gets alone, and a redraw what it would
-    get in the ensemble. With ``own=True`` the series' own order is
-    evaluated too, as a last row of the last slice, sharing the ensemble's
-    tables.
+    each series and surrogate, and as row k for the series' own order,
+    which joins the last slice and shares the ensemble's tables. Each
+    per-series, per-surrogate sum adds its slots in slot order, in every
+    stack and slice, as every slice holds at least two rows. So a row
+    rounds the same whatever other rows and series it is evaluated with, at
+    any B: each series of a stack gets what it gets alone, and a redraw,
+    one order row with the own order, what it would get in the ensemble.
     """
     stack = values.reshape(-1, values.shape[-1])
     n_series, n = stack.shape
@@ -169,34 +168,29 @@ def _block_kernel(values: np.ndarray, block_size: int):
     gamma0 = (blocks * blocks).reshape(n_series, -1).sum(axis=1)
     lag1_within = (blocks[..., :-1] * blocks[..., 1:]).reshape(n_series, -1).sum(axis=1)
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
-    step = max(1, STACK_VALUES // (n_series * (n_blocks + 1)))
+    step = max(2, STACK_VALUES // (n_series * (n_blocks + 1)))
     cross_step = max(1, (STACK_VALUES >> 3) // (n_blocks + 1) if tabled else STACK_VALUES // blocks[0].size)
 
-    def slots(orders: np.ndarray, own: bool = False, by_slot: bool = False) -> np.ndarray:
-        """(k, B + 1) block indices by slot, with the series' own order as
-        one more row if ``own``; the tail is last. With ``by_slot`` they are
-        the transpose of a C-ordered (B + 1, k) array, filled as such."""
-        shape = (len(orders) + own, n_blocks + 1)
-        o = np.empty(shape[::-1], dtype=np.intp).T if by_slot else np.empty(shape, dtype=np.intp)
-        o[: len(orders), :-1], o[:, -1] = orders, n_blocks
-        if own:
-            o[-1, :-1] = np.arange(n_blocks)
+    def slots(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), B + 1) block indices by slot of the given ascending
+        ``rows`` of the orders, where row k = len(orders) is the series' own
+        order; the tail is last. They are the transpose of a C-ordered
+        (B + 1, len(rows)) array, filled as such."""
+        o = np.empty((n_blocks + 1, len(rows)), dtype=np.intp).T
+        theirs = rows[rows < len(orders)]
+        o[len(theirs):, :-1] = np.arange(n_blocks)
+        o[: len(theirs), :-1], o[:, -1] = orders[theirs], n_blocks
         return o
 
-    def order_free(orders: np.ndarray, own: bool, work: np.ndarray) -> tuple:
+    def order_free(orders: np.ndarray, rows: np.ndarray, work: np.ndarray) -> tuple:
         """Lag-1 products, profile range and profile sum of squares of each
-        series and row of ``slots(orders, own)``, as (S, k) arrays. The
-        gathered tables go to two (B + 1, k, S) blocks carved from ``work``,
-        one array that every slice of a kernel call reuses, so each gathered
-        element is one block's value for every series. Each (row, series)
-        sum adds its slots in slot order, as einsum adds along the leading
-        axis; one row of one series would be a contiguous run that einsum
-        reduces in another order, so that call evaluates its row twice and
-        keeps one."""
-        o = slots(orders, own, by_slot=True).T
-        rows = o.shape[1]
-        if rows * n_series == 1:
-            o = np.repeat(o, 2, axis=1)
+        series and row of ``slots(orders, rows)``, as (S, len(rows)) arrays.
+        The gathered tables go to two (B + 1, len(rows), S) blocks carved
+        from ``work``, one array that every slice of a kernel call reuses,
+        so each gathered element is one block's value for every series. Each
+        (row, series) sum adds its slots in slot order, as einsum adds along
+        the leading axis of at least two rows."""
+        o = slots(orders, rows).T
         size = o.size * n_series
         ends, other = (work[i * size: (i + 1) * size].reshape(o.shape + (n_series,)) for i in range(2))
 
@@ -210,13 +204,12 @@ def _block_kernel(values: np.ndarray, block_size: int):
         centres = np.add(ends, gather(means, other), out=other)
         centres -= np.einsum("jks,j->ks", centres, lengths) / n
         prof_ss = np.einsum("jks,jks,j->ks", centres, centres, lengths)
-        return tuple(part[:rows].T for part in (lag1_within + lag1, spread, spread_ss + prof_ss))
+        return tuple(part.T for part in (lag1_within + lag1, spread, spread_ss + prof_ss))
 
-    def cross_products(x: np.ndarray, orders: np.ndarray, own: bool, bandwidths: np.ndarray) -> np.ndarray:
+    def cross_products(x: np.ndarray, orders: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
         """Each row's Bartlett-weighted products between the blocks X = ``x``
         of one series, at that series' ``bandwidths``."""
-        k = len(orders)
-        cross = np.empty(k + own)
+        cross = np.empty(len(orders) + 1)
         for q in np.unique(bandwidths):
             group = np.flatnonzero(bandwidths == q)
             slices = np.array_split(group, range(cross_step, group.size, cross_step))
@@ -226,9 +219,7 @@ def _block_kernel(values: np.ndarray, block_size: int):
             for m in range(1, len(weighted)):
                 table = (weighted[m] @ x.T).ravel() if tabled else None
                 for rows in slices:
-                    # Row k, the own order, is last in its slice.
-                    mine = own and bool(rows[-1] == k)
-                    o = slots(orders[rows[: rows.size - mine]], mine)
+                    o = slots(orders, rows)
                     if tabled:
                         pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
                     else:
@@ -237,22 +228,21 @@ def _block_kernel(values: np.ndarray, block_size: int):
                 del table  # before the next one is built: at most one is held
         return cross
 
-    def kernel(orders: np.ndarray, own: bool = False):
+    def kernel(orders: np.ndarray):
         k = len(orders)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # Room for the largest slice, and for a one-row call's second row.
-            work = np.empty(2 * max(n_series * (min(step, k) + own), 2) * (n_blocks + 1))
-            parts = [order_free(orders[start: start + step], own and start + step >= k, work)
-                     for start in range(0, k, step)]
+            # Slices of ``step`` rows; the last takes row k too, up to step + 1.
+            work = np.empty(2 * n_series * (min(step, k) + 1) * (n_blocks + 1))
+            parts = [order_free(orders, rows, work) for rows in np.array_split(np.arange(k + 1), range(step, k, step))]
             lag1, spread, prof_var = (np.concatenate(part, axis=1) for part in zip(*parts))
             rho = lag1 / gamma0[:, None]
             degenerate = ~(np.abs(rho) < 1.0)
             bandwidths = np.where(degenerate, 0, _lo_bandwidth(n, rho)).astype(np.int64)
-            cross = np.stack([cross_products(x, orders, own, row) for x, row in zip(blocks, bandwidths)])
+            cross = np.stack([cross_products(x, orders, row) for x, row in zip(blocks, bandwidths)])
             s2 = (gamma0[:, None] + 2.0 * cross) / n
             statistics = np.stack([spread / np.sqrt(s2 * n), prof_var / (n * n * s2)], axis=-1)
         degenerate |= ~(np.isfinite(s2) & (s2 > 0.0))
-        shape = values.shape[:-1] + (k + own,)
+        shape = values.shape[:-1] + (k + 1,)
         return statistics.reshape(shape + (2,)), bandwidths.reshape(shape), degenerate.reshape(shape)
 
     return kernel
@@ -310,10 +300,11 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
     Series of one length share their block orders, drawn once, and one
     ``_block_kernel`` stack holds up to ``STACK_VALUES // max(n, k + 1)`` of
     them for k surrogates (at least one), which bounds its tables and its
-    per-surrogate results as its slices bound its gathers.
-    Every row adds its slots in slot order, so each series gets what it gets
-    alone; a series with degenerate surrogates redraws them on a kernel of
-    its own.
+    per-surrogate results as its slices bound its gathers. Its one call
+    gives every surrogate and, as the last row, each series in its own
+    order. Every row adds its slots in slot order, so each series gets what
+    it gets alone; a series with degenerate surrogates redraws them on a
+    kernel of its own.
     """
     try:
         block_size = _as_int(block_size, "block size")
@@ -337,7 +328,7 @@ def _panel_tests(panel, block_size: int, n_surrogates: int, seed: int) -> list:
         for start in range(0, len(members), width):
             indices, rows = zip(*members[start: start + width])
             stack = _unit_scaled(np.stack(rows))[0]
-            statistics, _, degenerate = _block_kernel(stack, block_size)(orders, own=True)
+            statistics, _, degenerate = _block_kernel(stack, block_size)(orders)
             for row, index in enumerate(indices):
                 alone = _block_kernel(stack[row], block_size) if degenerate[row, :-1].any() else None
                 try:

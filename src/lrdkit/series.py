@@ -31,6 +31,10 @@ __all__ = [
     "auto_bandwidth_value",
 ]
 
+# The value budget of the stacked kernels, 512 kB of floats: ``lrd`` bounds
+# the bootstrap's stacks and slices by it, ``dfa`` each stacked DFA call.
+STACK_VALUES = 1 << 16
+
 
 def _increasing(dates) -> bool:
     """Whether each date is later than the one before it."""
@@ -194,11 +198,11 @@ def _row_sums(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 def _autocovariances(centered: np.ndarray, max_lag: int) -> np.ndarray:
     """Autocovariances at lags 0..max_lag of an already centered array, by
     direct dot products; every lag divides by the full length."""
+    n = centered.size
     out = np.empty(max_lag + 1)
-    out[0] = centered @ centered
-    for k in range(1, max_lag + 1):
-        out[k] = centered[:-k] @ centered[k:]
-    return out / centered.size
+    for k in range(max_lag + 1):
+        out[k] = centered[: n - k] @ centered[k:]
+    return out / n
 
 
 def autocovariance(series, lag: int) -> float:
@@ -206,9 +210,7 @@ def autocovariance(series, lag: int) -> float:
     x = as_values(series, min_length=2)
     lag = _lag(lag, x.size, "lag")
     centered = x - x.mean()
-    if lag == 0:
-        return float(centered @ centered) / x.size
-    return float(centered[:-lag] @ centered[lag:]) / x.size
+    return float(centered[: x.size - lag] @ centered[lag:]) / x.size
 
 
 def _lo_bandwidth(n_obs: int, rho):

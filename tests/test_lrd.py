@@ -30,13 +30,14 @@ def scripted_kernel(script):
     """Stand-in for ``lrd._block_kernel``: evaluation i, by any kernel it
     made, gives every order row of every series the value ``script[i]`` for
     both statistics, or marks every row degenerate for None. Its results
-    take the real kernel's shapes: ``values.shape[:-1] + (k,)``."""
+    take the real kernel's shapes: ``values.shape[:-1] + (k + 1,)``, the
+    k order rows and the series' own order."""
     calls = iter(script)
 
     def block_kernel(values, block_size):
-        def kernel(orders, own=False):
+        def kernel(orders):
             value = next(calls)
-            shape = values.shape[:-1] + (len(orders) + own,)
+            shape = values.shape[:-1] + (len(orders) + 1,)
             statistics = np.full(shape + (2,), np.nan if value is None else value)
             return statistics, np.zeros(shape, dtype=np.int64), np.full(shape, value is None)
 
@@ -82,7 +83,7 @@ def kernel_ensemble(values, block_size, n_surrogates, seed):
     redraws on the same kernel of the series alone."""
     kernel = lrd._block_kernel(values, block_size)
     n_blocks = values.size // block_size
-    statistics, _, degenerate = kernel(lrd._block_orders(seed, n_surrogates, n_blocks), own=True)
+    statistics, _, degenerate = kernel(lrd._block_orders(seed, n_surrogates, n_blocks))
     return lrd._ensemble(kernel, n_blocks, n_surrogates, seed, (statistics, degenerate))
 
 
@@ -296,8 +297,8 @@ class TestChunkedEnsemble:
         def degenerate_row_101_of_first_call(values, block_size):
             kernel, calls = real(values, block_size), []
 
-            def forced(orders, own=False):
-                statistics, bandwidths, degenerate = kernel(orders, own)
+            def forced(orders):
+                statistics, bandwidths, degenerate = kernel(orders)
                 calls.append(len(orders))
                 if len(calls) == 1:
                     degenerate[101] = True
@@ -355,7 +356,8 @@ class TestBlockKernel:
         assert ((n_blocks + 1) ** 2 <= lrd.TABLE_ENTRIES) == tabled
         orders = lrd._block_orders(3, 150, n_blocks)
         kernel = lrd._block_kernel(values, block_size)
-        stats, bandwidths, degenerate = kernel(orders)
+        full = kernel(orders)
+        stats, bandwidths, degenerate = (part[:-1] for part in full)
         expected, expected_bandwidths, expected_degenerate = row_kernel(values, block_size, orders)
         np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0)
         assert np.array_equal(bandwidths, expected_bandwidths)
@@ -366,31 +368,34 @@ class TestBlockKernel:
             assert 0 in bandwidths
         if phi == 0.97:
             assert bandwidths.min() >= block_size
-        # A redraw evaluates one order row on its own, rounded as in the
-        # ensemble, so a surrogate in the series' own order ties exactly.
+        # A redraw evaluates one order row with the own order, rounded as in
+        # the ensemble, so a surrogate in the series' own order ties exactly.
         for row in (bandwidths.argmin(), bandwidths.argmax()):
             single, single_bandwidths, _ = kernel(orders[row: row + 1])
             assert np.array_equal(single[0], stats[row])
             assert single_bandwidths[0] == bandwidths[row]
+            assert np.array_equal(single[1], full[0][-1]) and single_bandwidths[1] == full[1][-1]
 
     @pytest.mark.parametrize("n_blocks", [100, 8191, 8192, 10000])
     def test_own_order_rounds_as_alone(self, n_blocks):
-        # The ensemble's call also evaluates the series' own order, as the
-        # last row of its last slice. Every row adds its slots in slot order,
-        # in a slice of many rows as in the lone call, which evaluates its
-        # one row twice; so at any number of blocks the two round alike.
+        # Every call also evaluates the series' own order, as the last row of
+        # its last slice. Every row adds its slots in slot order, in a slice
+        # of many rows as in a one-row call, whose one slice holds its row
+        # and the own order; so at any number of blocks the own row rounds
+        # alike in every call, and as the own order given as an order row.
         block_size = 25 if n_blocks == 100 else 1
         for seed in range(3):
             values = ar1(0.5, n_blocks * block_size + block_size // 2, seed=seed)
             kernel = lrd._block_kernel(values, block_size)
             orders = lrd._block_orders(seed, 12, n_blocks)
-            stats, bandwidths, degenerate = kernel(orders, own=True)
+            stats, bandwidths, degenerate = kernel(orders)
             alone = kernel(np.arange(n_blocks)[None, :])
-            assert np.array_equal(stats[-1], alone[0][0])
-            assert bandwidths[-1] == alone[1][0] and degenerate[-1] == alone[2][0]
-            ensemble = kernel(orders)
-            assert np.array_equal(stats[:-1], ensemble[0])
-            assert np.array_equal(bandwidths[:-1], ensemble[1])
+            for i in (0, 1):
+                assert np.array_equal(stats[-1], alone[0][i])
+                assert bandwidths[-1] == alone[1][i] and degenerate[-1] == alone[2][i]
+            fewer = kernel(orders[:5])
+            assert np.array_equal(stats[:5], fewer[0][:-1]) and np.array_equal(stats[-1], fewer[0][-1])
+            assert np.array_equal(bandwidths[:5], fewer[1][:-1]) and bandwidths[-1] == fewer[1][-1]
 
     def test_each_row_rounds_as_alone_past_8191_blocks(self):
         # At 10,000 blocks of one value each order-free row sums 10,001
@@ -405,17 +410,30 @@ class TestBlockKernel:
             assert np.array_equal(alone[0][0], stats[i])
             assert alone[1][0] == bandwidths[i] and alone[2][0] == degenerate[i]
 
+    @pytest.mark.parametrize("n, block_size", [(2500, 25), (10000, 1)])
+    def test_slices_of_two_rows_round_as_wider_slices(self, monkeypatch, n, block_size):
+        # A budget of one value leaves the floor of two rows per slice; one
+        # row of one series would be a contiguous run of slots that einsum
+        # reduces in another order than slot by slot.
+        values = ar1(0.5, n, seed=8)
+        orders = lrd._block_orders(8, 12, n // block_size)
+        expected = lrd._block_kernel(values, block_size)(orders)
+        monkeypatch.setattr(lrd, "STACK_VALUES", 1)
+        for got, want in zip(lrd._block_kernel(values, block_size)(orders), expected):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2)])
     def test_redraw_rows_equal_their_ensemble_rows(self, n, block_size):
-        # A redraw is a call of one row on a kernel of one series, a run of
-        # slots that einsum alone would reduce in another order than the
-        # stacked slices do. Every surrogate and the own order of every
-        # series of the stack (123 rows) must round there as in the ensemble.
+        # A redraw is a call of one order row on a kernel of one series,
+        # whose one slice holds that row and the own order: two rows, which
+        # einsum adds slot by slot as it does the stacked slices. Every
+        # surrogate and the own order of every series of the stack (123
+        # rows) must round there as in the ensemble.
         panel = np.stack([ar1(phi, n, seed=70 + i) for i, phi in enumerate((0.0, 0.5, 0.9))])
         stack = lrd._unit_scaled(panel)[0]
         n_blocks = n // block_size
         orders = lrd._block_orders(7, 40, n_blocks)
-        stacked = lrd._block_kernel(stack, block_size)(orders, own=True)
+        stacked = lrd._block_kernel(stack, block_size)(orders)
         for row, values in enumerate(stack):
             kernel = lrd._block_kernel(values, block_size)
             for i, order in enumerate([*orders, np.arange(n_blocks)]):
@@ -479,7 +497,7 @@ class TestPanelTests:
     @pytest.mark.parametrize("stack_values", [lrd.STACK_VALUES, 1, 3 * 2100])
     def test_each_series_as_alone(self, monkeypatch, stack_values):
         # The default stacks every series of a length; one value per stack
-        # gives stacks of one series and slices of one surrogate; 6,300
+        # gives stacks of one series and slices of two rows, the floor; 6,300
         # values split the 2,100-point series into stacks of three.
         panel = self.panel([600, 2100, 600, 2100, 2100, 2100, 2100, 1013])
         monkeypatch.setattr(lrd, "STACK_VALUES", stack_values)
@@ -488,22 +506,25 @@ class TestPanelTests:
         for x, outcome in zip(panel, outcomes):
             assert outcome == bootstrap_lrd_tests(x, n_surrogates=60, seed=8)
 
-    @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2), (10000, 1)])
+    @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2), (10000, 1), (26000, 1)])
     def test_stacked_kernel_rows_equal_lone_kernels(self, n, block_size):
         # Tabled pairs; multiplied pairs; rows of 10,001 slots, past the
-        # 8,192 values that einsum sums alone in one part.
+        # 8,192 values that einsum sums alone in one part; and 26,001 slots,
+        # where the budget gives no row per slice and the floor of two rows
+        # sets the slicing, alone and stacked.
         stack = np.stack(self.panel([n] * 3))
         orders = lrd._block_orders(6, 12, n // block_size)
-        stacked = lrd._block_kernel(stack, block_size)(orders, own=True)
+        stacked = lrd._block_kernel(stack, block_size)(orders)
         assert [a.shape[:2] for a in stacked] == [(3, 13)] * 3
         for row, values in enumerate(stack):
             kernel = lrd._block_kernel(values, block_size)
-            for got, expected in zip(stacked, kernel(orders, own=True)):
+            for got, expected in zip(stacked, kernel(orders)):
                 assert np.array_equal(got[row], expected)
             # One surrogate at a time, as a redraw evaluates it, and the own order.
             for i, order in [(0, orders[0]), (7, orders[7]), (12, np.arange(n // block_size))]:
                 for got, expected in zip(stacked, kernel(order[None, :])):
                     assert np.array_equal(got[row, i], expected[0])
+                    assert np.array_equal(got[row, -1], expected[1])
 
     def test_block_orders_drawn_once_per_length(self):
         # The orders cache keeps one key, so taking the series in turn drew
@@ -541,8 +562,8 @@ class TestPanelTests:
             kernel = real(values, block_size)
             match = np.array([np.array_equal(row, second) for row in values.reshape(-1, values.shape[-1])])
 
-            def call(orders, own=False):
-                statistics, bandwidths, degenerate = kernel(orders, own)
+            def call(orders):
+                statistics, bandwidths, degenerate = kernel(orders)
                 if len(orders) > 1:
                     degenerate.reshape(match.size, -1)[match, : len(orders)] = True
                 return statistics, bandwidths, degenerate
