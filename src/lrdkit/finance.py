@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import math
 from collections.abc import Sequence
@@ -430,11 +431,42 @@ def _parse_float(text: str, where: str, column: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _calendar(shape: bytes) -> _Dates | None:
+    """The checked dates of a file's date column, given as its date cells
+    joined by commas with a trailing comma, or None when a check fails.
+
+    The cells fill rows of 11 bytes ending in a comma exactly when each has
+    10 characters, and a non-ASCII character puts bytes above 127 into a
+    digit, dash or comma slot. fromisoformat then checks the calendar, so
+    each row is its date's isoformat() and a comma; the dates must
+    increase. The ``_Dates`` carries that grid of rows as its ``cells``.
+
+    Only the last calendar is kept: the files of a panel, or the bars of
+    one market, share their trading days, so the next file with the same
+    date column skips every check and shares the ``_Dates``.
+    """
+    if len(shape) % _DATE_SHAPE.size:
+        return None
+    grid = np.frombuffer(shape, dtype=np.uint8).reshape(-1, _DATE_SHAPE.size)
+    if not (grid - _DATE_SHAPE < _DATE_BOUND).all():
+        return None
+    try:
+        dates = _Dates(map(dt.date.fromisoformat, shape[:-1].decode("ascii").split(",")))
+    except ValueError:
+        return None
+    if not _increasing(dates):
+        return None
+    dates.cells = grid
+    return dates
+
+
 def _read_columns(text: str, expected: tuple[str, ...]):
     """Column-wise parse of the data lines of a plain file whose header
     matched, or None to leave it to the row loop: on a line that would fail
     one of its checks, and on a blank line before the last data line. The
-    dates come as a ``_Dates`` carrying the grid of date cells checked here.
+    dates come from :func:`_calendar`, checked once for every file with the
+    same date column, as a ``_Dates`` carrying the grid of its date cells.
 
     A file is plain when it holds no quote, carriage return or NUL and no
     line longer than the csv field size limit: splitting it on newlines and
@@ -455,27 +487,17 @@ def _read_columns(text: str, expected: tuple[str, ...]):
     ):
         return None
     fields = body.replace("\n", ",").split(",")
-    date_texts = fields[::width]
-    # The dates joined by commas fill rows of 11 bytes ending in a comma
-    # exactly when each has 10 characters. A non-ASCII character puts bytes
-    # above 127 into a digit, dash or comma slot. fromisoformat then checks
-    # the calendar, so each row is its date's isoformat() and a comma.
-    shape = (",".join(date_texts) + ",").encode("utf-8")
-    if len(shape) != _DATE_SHAPE.size * len(date_texts):
-        return None
-    grid = np.frombuffer(shape, dtype=np.uint8).reshape(-1, _DATE_SHAPE.size)
-    if not (grid - _DATE_SHAPE < _DATE_BOUND).all():
+    dates = _calendar((",".join(fields[::width]) + ",").encode("utf-8"))
+    if dates is None:
         return None
     try:
-        dates = _Dates(map(dt.date.fromisoformat, date_texts))
         columns = [np.array(fields[i::width], dtype=float) for i in range(1, width)]
     except ValueError:
         return None
-    if not _increasing(dates) or not all(np.isfinite(column).all() for column in columns):
+    if not all(np.isfinite(column).all() for column in columns):
         return None
     if expected == OHLCV_HEADER and not np.all(_valid_bars(*columns)):
         return None
-    dates.cells = grid
     return dates, columns
 
 
@@ -529,7 +551,9 @@ def read_series_csv(path, schema: str):
     checks the header. Plain files are then parsed a column at a time; any
     other file, and any file that fails a check, goes through the row loop,
     which continues that reader, accepts exactly the same files and reports
-    the first violation.
+    the first violation. The column route checks a date column once for
+    consecutive files that share it, as a panel's files do, and gives them
+    one ``_Dates``; a file whose values fail still reaches the row loop.
     """
     if schema not in ("trends", "ohlcv"):
         raise InvalidInputError(f"unknown schema {schema!r}")

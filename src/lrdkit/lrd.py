@@ -43,10 +43,11 @@ TEST_KINDS = ("rescaled_range", "rescaled_variance")
 # Entries of the largest (B + 1)^2 table of block-pair products (8 MB), past
 # which the pairs are multiplied. STACK_VALUES bounds each (B + 1, k, S)
 # order-free quantity of S series and k rows, as far as slices of at least
-# two rows allow, the S n values of one stack's tables and the S (k + 1)
-# values of each of its results, and per series the (k, B + 1, b) blocks of
-# the multiplied pairs. Looked-up pairs take an eighth of it, so that their
-# (k, B + 1) index arrays stay below the allocator's mmap threshold.
+# two rows and 8 values per slot allow, the S n values of one stack's tables
+# and the S (k + 1) values of each of its results, and per series the
+# (k, B + 1, b) blocks of the multiplied pairs. Looked-up pairs take an
+# eighth of it, so that their (k, B + 1) index arrays stay below the
+# allocator's mmap threshold.
 TABLE_ENTRIES = 1 << 20
 
 
@@ -133,15 +134,24 @@ def _block_kernel(values: np.ndarray, block_size: int):
     adjacent blocks. The profile is the running total of the block sums
     plus each block's own partial sums, whose extremes and moments are
     tabled. These order-free parts are evaluated for the whole stack at
-    once: each slice of ``STACK_VALUES // (S (B + 1))`` rows (at least two)
-    builds its slots once, slot-major, and gathers from six slot-major
-    (B + 1, S) per-block tables, so one gathered row holds a block's value
-    for every series. The cross products depend on each series' bandwidths
-    and pair tables, so they run series by series, holding at most one
-    table. Returns a function of (k, B) block orders that gives, as arrays
-    with the stack's leading axis, what ``series._row_statistics`` gives for
-    each series and surrogate, and as row k for the series' own order,
-    which joins the last slice and shares the ensemble's tables. Each
+    once: each slice of ``STACK_VALUES // (S (B + 1))`` rows, but at least
+    two and at least 8 / S, builds its slots once, copies them slot-major
+    and gathers from six slot-major (B + 1, S) per-block tables, so one
+    gathered row holds a block's value for every series. The floor of 8
+    values per gathered slot keeps the reductions along the slots off rows
+    of two or four values on long series of small blocks, where each slot
+    costs a step of numpy's outer loop; the budget gives most shapes wider
+    slices anyway. The running totals along the slots are taken on a complex
+    view of each slice, two columns per add, and an odd last column alone:
+    numpy adds the real and imaginary parts apart, so every column gets the
+    sums it gets alone, and the two adds of a step do not wait on each
+    other. The cross products depend on each series' bandwidths and pair
+    tables, so they run series by series, reading the slots C-ordered and
+    holding at most one table. Returns a function of (k, B) block orders
+    that gives, as arrays with the stack's leading axis, what
+    ``series._row_statistics`` gives for each series and surrogate, and as
+    row k for the series' own order, which joins the last slice and shares
+    the ensemble's tables. Each
     per-series, per-surrogate sum adds its slots in slot order, in every
     stack and slice, as every slice holds at least two rows. So a row
     rounds the same whatever other rows and series it is evaluated with, at
@@ -168,15 +178,14 @@ def _block_kernel(values: np.ndarray, block_size: int):
     gamma0 = (blocks * blocks).reshape(n_series, -1).sum(axis=1)
     lag1_within = (blocks[..., :-1] * blocks[..., 1:]).reshape(n_series, -1).sum(axis=1)
     tabled = (n_blocks + 1) ** 2 <= TABLE_ENTRIES
-    step = max(2, STACK_VALUES // (n_series * (n_blocks + 1)))
+    step = max(2, -(-8 // n_series), STACK_VALUES // (n_series * (n_blocks + 1)))
     cross_step = max(1, (STACK_VALUES >> 3) // (n_blocks + 1) if tabled else STACK_VALUES // blocks[0].size)
 
     def slots(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), B + 1) block indices by slot of the given ascending
-        ``rows`` of the orders, where row k = len(orders) is the series' own
-        order; the tail is last. They are the transpose of a C-ordered
-        (B + 1, len(rows)) array, filled as such."""
-        o = np.empty((n_blocks + 1, len(rows)), dtype=np.intp).T
+        """C-ordered (len(rows), B + 1) block indices by slot of the given
+        ascending ``rows`` of the orders, where row k = len(orders) is the
+        series' own order; the tail is last."""
+        o = np.empty((len(rows), n_blocks + 1), dtype=np.intp)
         theirs = rows[rows < len(orders)]
         o[len(theirs):, :-1] = np.arange(n_blocks)
         o[: len(theirs), :-1], o[:, -1] = orders[theirs], n_blocks
@@ -189,8 +198,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
         from ``work``, one array that every slice of a kernel call reuses,
         so each gathered element is one block's value for every series. Each
         (row, series) sum adds its slots in slot order, as einsum adds along
-        the leading axis of at least two rows."""
-        o = slots(orders, rows).T
+        the leading axis of at least two rows, and as cumsum adds each
+        column, two columns to a complex element."""
+        o = np.ascontiguousarray(slots(orders, rows).T)
         size = o.size * n_series
         ends, other = (work[i * size: (i + 1) * size].reshape(o.shape + (n_series,)) for i in range(2))
 
@@ -198,7 +208,10 @@ def _block_kernel(values: np.ndarray, block_size: int):
             return np.take(table, o, axis=0, out=out, mode="clip")
 
         lag1 = np.einsum("jks,jks->ks", gather(lasts, ends)[:-1], gather(firsts, other)[1:])
-        np.cumsum(gather(sums, other), axis=0, out=ends)
+        totals, block_sums = (part.reshape(len(o), -1) for part in (ends, gather(sums, other)))
+        even = totals.shape[1] & -2
+        np.cumsum(block_sums[:, :even].view(np.complex128), axis=0, out=totals[:, :even].view(np.complex128))
+        np.cumsum(block_sums[:, even:], axis=0, out=totals[:, even:])
         spread = np.add(ends, gather(peaks, other), out=other).max(axis=0)
         spread -= np.add(ends, gather(troughs, other), out=other).min(axis=0)
         centres = np.add(ends, gather(means, other), out=other)
@@ -221,7 +234,9 @@ def _block_kernel(values: np.ndarray, block_size: int):
                 for rows in slices:
                     o = slots(orders, rows)
                     if tabled:
-                        pairs = np.take(table, o[:, :-m] * (n_blocks + 1) + o[:, m:])
+                        index = o[:, :-m] * (n_blocks + 1)
+                        index += o[:, m:]
+                        pairs = np.take(table, index)
                     else:
                         pairs = np.take(weighted[m], o[:, :-m], axis=0) * np.take(x, o[:, m:], axis=0)
                     cross[rows] += pairs.reshape(len(rows), -1).sum(axis=1)

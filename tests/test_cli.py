@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lrdkit.cli as cli
+from lrdkit import finance
 from lrdkit.cli import main
 from lrdkit.dfa import dfa_hurst
 from lrdkit.finance import read_series_csv, write_series_csv
@@ -449,6 +450,23 @@ class TestLrdtestPanel:
             "error: series variance is zero or not finite, or its long-run variance is not positive\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "constant.csv"]
+
+    def test_bad_value_under_a_shared_calendar_fails_as_alone(self, tmp_path, capsys):
+        # The second file has the first one's dates, which the reader then
+        # holds checked, and one malformed value; the row loop still names it.
+        rng = np.random.default_rng(29)
+        good = write_values(tmp_path / "good.csv", rng.standard_normal(300))
+        bad = write_values(tmp_path / "bad.csv", rng.standard_normal(300))
+        lines = (tmp_path / "bad.csv").read_text().splitlines(keepends=True)
+        lines[101] = lines[101].split(",")[0] + ",1.2.3\n"
+        (tmp_path / "bad.csv").write_text("".join(lines))
+        finance._calendar.cache_clear()
+        assert main(["lrdtest", bad, "--surrogates", "20"]) == 1
+        alone = capsys.readouterr()
+        assert alone.err == f"error: {bad}:102: non-numeric value field '1.2.3'\n"
+        assert main(["lrdtest", good, bad, "--surrogates", "20"]) == 1
+        assert finance._calendar.cache_info().hits >= 1
+        assert capsys.readouterr() == alone
 
     def test_earlier_dfa_error_comes_first_in_a_stack(self, tmp_path, capsys):
         # Both series have 40 points: the first passes its bootstrap at block

@@ -284,18 +284,21 @@ BAR_FAULTS = [
 
 
 def read_plain_and_crlf(target, text, schema):
-    """The outcome of reading ``text`` as it is and with CRLF line ends,
-    from the same path, so the two messages can be compared."""
+    """The outcome of reading ``text`` as it is, with no calendar cached
+    and then with its own calendar cached, and with CRLF line ends, from
+    the same path, so the three messages can be compared."""
+    finance._calendar.cache_clear()
     outcomes = []
-    for newline in ("\n", "\r\n"):
+    for newline in ("\n", "\n", "\r\n"):
         target.write_bytes(text.replace("\n", newline).encode("utf-8"))
         outcomes.append(outcome(target, schema))
     return outcomes
 
 
 class TestSameErrorOnEveryRoute:
-    """A bad bar, a date out of order and a bad header give the same class,
-    message and row through ``OhlcvBar``, a plain file and its CRLF copy."""
+    """A bad bar, a bad value, a date out of order and a bad header give the
+    same class, message and row through ``OhlcvBar``, a plain file read
+    with and without its calendar cached, and its CRLF copy."""
 
     HEADER = ",".join(finance.OHLCV_HEADER) + "\n"
     FIRST_ROW = "2004-01-01,100,110,95,105,1200\n"
@@ -312,12 +315,19 @@ class TestSameErrorOnEveryRoute:
             expected = InvalidBarError, f"{target}:3: {date}: {message}"
         else:
             expected = InvalidInputError, f"{target}:3: non-finite {name} field {repr(value)!r}"
-        assert read_plain_and_crlf(target, text, "ohlcv") == [expected, expected]
+        assert read_plain_and_crlf(target, text, "ohlcv") == [expected] * 3
+
+    @pytest.mark.parametrize("value", VALUE_ODDITIES)
+    def test_bad_value(self, target, value):
+        text = "date,value\n2004-01-01,5\n2004-01-02," + value + "\n2004-01-03,6\n"
+        kind = "non-numeric" if value in ("abc", "", " ", "0x10", "1__0") else "non-finite"
+        expected = InvalidInputError, f"{target}:3: {kind} value field {value!r}"
+        assert read_plain_and_crlf(target, text, "trends") == [expected] * 3
 
     def test_bars_out_of_order(self, target):
         text = self.HEADER + "2004-01-02,100,110,95,105,1200\n" + self.FIRST_ROW
         expected = InvalidInputError, f"{target}:3: date 2004-01-01 does not increase past 2004-01-02"
-        assert read_plain_and_crlf(target, text, "ohlcv") == [expected, expected]
+        assert read_plain_and_crlf(target, text, "ohlcv") == [expected] * 3
 
     @pytest.mark.parametrize("text, message", [
         ("", ": empty file"),
@@ -327,15 +337,62 @@ class TestSameErrorOnEveryRoute:
     ])
     def test_header(self, target, text, message):
         expected = InvalidInputError, f"{target}{message}"
-        assert read_plain_and_crlf(target, text, "trends") == [expected, expected]
+        assert read_plain_and_crlf(target, text, "trends") == [expected] * 3
 
     def test_header_field_over_the_csv_limit(self, target):
         text = "date," + "v" * (csv.field_size_limit() + 1) + "\n2004-01-01,5\n"
         expected = InvalidInputError, f"{target}: field larger than field limit ({csv.field_size_limit()})"
-        assert read_plain_and_crlf(target, text, "trends") == [expected, expected]
+        assert read_plain_and_crlf(target, text, "trends") == [expected] * 3
 
     @pytest.mark.parametrize("name, value", [fault[:2] for fault in BAR_FAULTS])
     def test_columns_agree_with_each_bar(self, name, value):
         columns = [np.array([GOOD_BAR[field], value if field == name else GOOD_BAR[field]])
                    for field in finance.OHLCV_HEADER[1:]]
         assert finance._valid_bars(*columns).tolist() == [True, False]
+
+
+class TestCalendarCache:
+    """The column reader checks a date column once for the files read after
+    it that share it, and gives them one ``_Dates``."""
+
+    DATES = [dt.date(2004, 1, 1) + dt.timedelta(days=i) for i in range(40) if i % 7 not in (5, 6)]
+
+    @staticmethod
+    def write(path, dates, values):
+        path.write_text("date,value\n" + "".join(f"{d},{v!r}\n" for d, v in zip(dates, np.asarray(values).tolist())))
+        return path
+
+    def test_files_sharing_a_calendar_share_its_dates(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = [self.write(tmp_path / f"s{i}.csv", self.DATES, rng.normal(size=len(self.DATES))) for i in range(3)]
+        alone = []
+        for path in paths:
+            finance._calendar.cache_clear()
+            alone.append(outcome(path, "trends"))
+        finance._calendar.cache_clear()
+        shared = [read_series_csv(path, "trends") for path in paths]
+        assert all(series.dates is shared[0].dates for series in shared)
+        assert shared[0].dates.cells.tobytes() == "".join(f"{d}," for d in self.DATES).encode()
+        assert [outcome(path, "trends") for path in paths] == alone
+        assert finance._calendar.cache_info().hits >= 5
+
+    @pytest.mark.parametrize("row, date, message", [
+        (12, "2004-01-13", None),  # still increasing: the file's own calendar
+        (12, "2004-01-12", "date 2004-01-12 does not increase past 2004-01-12"),
+        (12, "2004-02-30", "invalid ISO date '2004-02-30'"),
+        (28, "2004-2-09", "invalid ISO date '2004-2-09'"),
+    ])
+    def test_calendar_one_date_off_the_cached_one(self, tmp_path, row, date, message):
+        values = np.arange(len(self.DATES), dtype=float)
+        self.write(tmp_path / "cached.csv", self.DATES, values)
+        texts = [d.isoformat() for d in self.DATES]
+        texts[row - 2] = date
+        changed = self.write(tmp_path / "changed.csv", texts, values)
+        finance._calendar.cache_clear()
+        alone = outcome(changed, "trends")
+        read_series_csv(tmp_path / "cached.csv", "trends")
+        assert outcome(changed, "trends") == alone
+        if message is None:
+            assert alone[1][row - 2] == dt.date.fromisoformat(date) != self.DATES[row - 2]
+        else:
+            assert alone == (InvalidInputError, f"{changed}:{row}: {message}")

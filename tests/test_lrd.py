@@ -412,15 +412,52 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n, block_size", [(2500, 25), (10000, 1)])
     def test_slices_of_two_rows_round_as_wider_slices(self, monkeypatch, n, block_size):
-        # A budget of one value leaves the floor of two rows per slice; one
+        # A budget of one value leaves a stack of eight series the floor of
+        # two rows per slice, which 8 values per slot would not set; one
         # row of one series would be a contiguous run of slots that einsum
-        # reduces in another order than slot by slot.
-        values = ar1(0.5, n, seed=8)
+        # reduces in another order than slot by slot. Alone, each series
+        # takes wider slices.
+        stack = np.stack([ar1(0.1 * i, n, seed=8 + i) for i in range(8)])
         orders = lrd._block_orders(8, 12, n // block_size)
-        expected = lrd._block_kernel(values, block_size)(orders)
+        expected = [lrd._block_kernel(values, block_size)(orders) for values in stack]
         monkeypatch.setattr(lrd, "STACK_VALUES", 1)
-        for got, want in zip(lrd._block_kernel(values, block_size)(orders), expected):
-            assert np.array_equal(got, want)
+        for row, values in enumerate(stack):
+            for got, want in zip(lrd._block_kernel(stack, block_size)(orders), expected[row]):
+                assert np.array_equal(got[row], want)
+
+    @pytest.mark.parametrize("n_series, n_orders", [
+        (3, 12),  # slices of 5, 5 and 3 rows: 15, 15 and 9 columns
+        (5, 9),  # 5 and 5 rows: 25 and 25 columns
+        (1, 10),  # the floor's 8 rows, then 3: an even slice and an odd last one
+    ])
+    def test_running_totals_at_odd_widths_round_as_alone(self, monkeypatch, n_series, n_orders):
+        # The running totals run two columns to a complex add, and an odd
+        # last column alone. With a budget of five rows per slice, each
+        # series must get the rows of its lone kernel, one slice wide.
+        stack = np.stack([ar1(0.2 * i, 1013, seed=9 + i) for i in range(n_series)])
+        orders = lrd._block_orders(9, n_orders, 40)
+        expected = [lrd._block_kernel(values, 25)(orders) for values in stack]
+        monkeypatch.setattr(lrd, "STACK_VALUES", 5 * n_series * 41)
+        stacked = lrd._block_kernel(stack, 25)(orders)
+        for row in range(n_series):
+            for got, want in zip(stacked, expected[row]):
+                assert np.array_equal(got[row], want)
+
+    def test_slice_floor_memory_stays_bounded(self):
+        # 26,000 one-value blocks of one series: the budget gives no row,
+        # so the floor of 8 values per slot sets slices of 8 rows, 9 with
+        # the own order. Its two gathers and the slot array with its
+        # slot-major copy take 36 values per block; a floor of 16 takes 68.
+        values = ar1(0.0, 26000, seed=45)
+        orders = lrd._block_orders(3, 200, 26000)
+        kernel = lrd._block_kernel(values, 1)
+        tracemalloc.start()
+        try:
+            kernel(orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 8 * 26001
 
     @pytest.mark.parametrize("n, block_size", [(1013, 25), (2101, 2)])
     def test_redraw_rows_equal_their_ensemble_rows(self, n, block_size):
@@ -497,7 +534,7 @@ class TestPanelTests:
     @pytest.mark.parametrize("stack_values", [lrd.STACK_VALUES, 1, 3 * 2100])
     def test_each_series_as_alone(self, monkeypatch, stack_values):
         # The default stacks every series of a length; one value per stack
-        # gives stacks of one series and slices of two rows, the floor; 6,300
+        # gives stacks of one series and slices of eight rows, the floor; 6,300
         # values split the 2,100-point series into stacks of three.
         panel = self.panel([600, 2100, 600, 2100, 2100, 2100, 2100, 1013])
         monkeypatch.setattr(lrd, "STACK_VALUES", stack_values)
@@ -510,8 +547,8 @@ class TestPanelTests:
     def test_stacked_kernel_rows_equal_lone_kernels(self, n, block_size):
         # Tabled pairs; multiplied pairs; rows of 10,001 slots, past the
         # 8,192 values that einsum sums alone in one part; and 26,001 slots,
-        # where the budget gives no row per slice and the floor of two rows
-        # sets the slicing, alone and stacked.
+        # where the budget gives no row per slice and the floor of 8 values
+        # per slot sets the slicing: three rows stacked, eight alone.
         stack = np.stack(self.panel([n] * 3))
         orders = lrd._block_orders(6, 12, n // block_size)
         stacked = lrd._block_kernel(stack, block_size)(orders)
@@ -586,7 +623,7 @@ class TestPanelTests:
     @pytest.mark.parametrize("n_series, n, block_size, n_surrogates", [
         (24, 2500, 25, 1000),  # the benchmark panel's shape
         (4, 25650, 25, 1000),  # multiplied block pairs; stacks of two series
-        (4, 25650, 1, 100),  # 25,650 one-value blocks; stacks of two series, slices of one surrogate
+        (4, 25650, 1, 100),  # 25,650 one-value blocks; stacks of two series, slices of four rows
     ])
     def test_memory_stays_bounded(self, n_series, n, block_size, n_surrogates):
         panel = [ar1(0.0 if block_size == 1 else 0.9, n, seed=60 + i) for i in range(n_series)]
