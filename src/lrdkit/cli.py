@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dfa import _hurst_fit, _panel_fluctuations, dfa_hurst
+from .dfa import _hurst_fit, _panel_fluctuations
 from .errors import InvalidInputError, ToolkitError
 from .finance import (
     TrendsSegment,
@@ -264,10 +264,10 @@ def cmd_lrdtest(args) -> dict:
     # come in series order.
     bootstraps = _panel_tests(panel, args.block_size, args.surrogates, args.seed)
     for series, tests, fluct in zip(panel, bootstraps, _panel_fluctuations(panel)):
-        if isinstance(tests, ToolkitError):
-            raise tests
-        # Without a fluctuation function, dfa_hurst raises the series' error.
-        hurst = dfa_hurst(series) if fluct is None else _hurst_fit(fluct)
+        for outcome in (tests, fluct):
+            if isinstance(outcome, ToolkitError):
+                raise outcome
+        hurst = _hurst_fit(fluct)
         if args.fluctuation_out is not None:
             fluct = hurst.fluctuation
             fluctuation_files[f"{args.fluctuation_out}_{series.label}.csv"] = _csv_text([

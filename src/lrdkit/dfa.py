@@ -11,7 +11,6 @@ tenth of a decade apart.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -373,22 +372,23 @@ def dfa_hurst(series, min_scale: int = DEFAULT_MIN_SCALE, max_scale: int | None 
 
 def _panel_fluctuations(panel) -> list:
     """The fluctuation function :func:`dfa_hurst` fits for each series of
-    ``panel`` at its default bounds, or None where it would raise.
+    ``panel`` at its default bounds, or the error it raises before the fit.
 
     Series of one length are detrended together by
     :func:`_fluctuation_rows`. Neither raises nor warns: ``_hurst_fit``
-    gives each series' warnings and errors, and ``dfa_hurst`` the errors
-    of a series with None.
+    gives each series' warnings and errors.
     """
     lengths, fluctuations = {}, [None] * len(panel)
     for index, series in enumerate(panel):
-        with contextlib.suppress(InvalidInputError):
-            lengths.setdefault(as_values(series, min_length=8).size, []).append(index)
-    for n, members in lengths.items():
         try:
-            grid = _hurst_grid(n, DEFAULT_MIN_SCALE, None)
-        except InvalidInputError:
-            continue
+            n = as_values(series, min_length=8).size
+            _hurst_grid(n, DEFAULT_MIN_SCALE, None)
+        except InvalidInputError as error:
+            fluctuations[index] = error
+        else:
+            lengths.setdefault(n, []).append(index)
+    for n, members in lengths.items():
+        grid = _hurst_grid(n, DEFAULT_MIN_SCALE, None)
         rows = _fluctuation_rows([as_values(panel[i]) for i in members], grid)
         for index, values in zip(members, rows):
             fluctuations[index] = FluctuationFunction(

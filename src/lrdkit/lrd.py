@@ -227,10 +227,12 @@ def _block_kernel(values: np.ndarray, block_size: int):
             group = np.flatnonzero(bandwidths == q)
             slices = np.array_split(group, range(cross_step, group.size, cross_step))
             lag = b * np.arange(-(-q // b) + 1)[:, None, None] + np.arange(b) - np.arange(b)[:, None]
-            weighted = x @ np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
-            cross[group] = np.sum(weighted[0] * x)
-            for m in range(1, len(weighted)):
-                table = (weighted[m] @ x.T).ravel() if tabled else None
+            weights = np.where(lag > 0, np.maximum(1.0 - lag / (q + 1.0), 0.0), 0.0)
+            cross[group] = np.sum((x @ weights[0]) * x)
+            for m in range(1, len(weights)):
+                # One lag's X A_m at a time: about n values, not n per lag.
+                weighted = x @ weights[m]
+                table = (weighted @ x.T).ravel() if tabled else None
                 for rows in slices:
                     o = slots(orders, rows)
                     if tabled:
@@ -238,7 +240,7 @@ def _block_kernel(values: np.ndarray, block_size: int):
                         index += o[:, m:]
                         pairs = np.take(table, index)
                     else:
-                        pairs = np.take(weighted[m], o[:, :-m], axis=0) * np.take(x, o[:, m:], axis=0)
+                        pairs = np.take(weighted, o[:, :-m], axis=0) * np.take(x, o[:, m:], axis=0)
                     cross[rows] += pairs.reshape(len(rows), -1).sum(axis=1)
                 del table  # before the next one is built: at most one is held
         return cross

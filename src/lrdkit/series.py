@@ -31,8 +31,8 @@ __all__ = [
     "auto_bandwidth_value",
 ]
 
-# The value budget of the stacked kernels, 512 kB of floats: ``lrd`` bounds
-# the bootstrap's stacks and slices by it, ``dfa`` each stacked DFA call.
+# The value budget of the stacked kernels (512 kB of floats): the bootstrap's
+# stacks and slices, each stacked DFA call and each chunk of AAFT pairs.
 STACK_VALUES = 1 << 16
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dfa import _work_size
 from .errors import InvalidInputError
-from .series import TimeSeries, _as_int, as_values
+from .series import STACK_VALUES, TimeSeries, _as_int, as_values
 from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _scaled_pair, _validate_grid
 
 __all__ = [
@@ -41,13 +41,6 @@ MIN_SURROGATES = 100
 # Every surrogate spawns a seed child of about 372 bytes before any work
 # starts, so larger counts are refused before the spawn.
 MAX_SURROGATES = 10**6
-# Surrogate pairs evaluated together; each chunk pays a fixed per-call cost,
-# so larger chunks scale better across the pool. With per-thread draw
-# buffers, 16 pairs ran the T=2500 pair benchmark on a 2-vCPU VM at 0.75x
-# the wall_s of 8 with stacked draws (0.458 s against 0.608 s; raw pass
-# 1.23 s against 1.54 s), for +0.7% peak RSS (52.34 against 51.96 MB) where
-# stacked draws cost +5%. One worker takes about the same time at 8 and 16.
-CHUNK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,8 @@ def xcorr_significance(
     to the observed correlogram. A grid point where the observed
     coefficient is degenerate gets p = 1 and a flag instead of an error;
     degenerate surrogate values count as exceedances, which can only
-    enlarge a p-value. Pairs are evaluated ``CHUNK_SIZE`` at a time on a
-    thread pool with one worker per CPU this process may run on. Pair i
+    enlarge a p-value. Chunks of max(2, STACK_VALUES // (2 T)) pairs run on
+    a thread pool with one worker per CPU this process may run on. Pair i
     always draws from child i of ``SeedSequence(config.seed)``, so neither
     the chunks nor the worker count change the result.
     """
@@ -193,17 +186,19 @@ def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = N
             warnings.warn(f"degenerate scales forced p = 1 at: {where}")
     children = np.random.SeedSequence(config.seed).spawn(config.n_surrogates)
     x_ranks, y_ranks = _ranks(xv), _ranks(yv)
-    # One detrending scratch and one pair of draw buffers per pool thread,
-    # reused by each of its chunks so their pages are faulted in once; they
-    # are freed when this call returns.
+    # Each chunk stacks the x and y rows of ``step`` pairs, as many as the
+    # value budget holds. Each pool thread owns one detrending scratch and
+    # one pair of draw buffers of that size, reused by its chunks so their
+    # pages are faulted in once and freed when this call returns.
+    step = max(2, STACK_VALUES // (2 * xv.size))
     scratch = threading.local()
 
     def chunk_curves(start: int) -> list[np.ndarray]:
         if not hasattr(scratch, "work"):
-            scratch.work = np.empty(_work_size(2 * CHUNK_SIZE, xv.size))
-            scratch.gaussian = np.empty((2, CHUNK_SIZE, xv.size))
-            scratch.phases = np.empty((2, CHUNK_SIZE, xv.size // 2 + 1))
-        pairs = children[start: start + CHUNK_SIZE]
+            scratch.work = np.empty(_work_size(2 * step, xv.size))
+            scratch.gaussian = np.empty((2, step, xv.size))
+            scratch.phases = np.empty((2, step, xv.size // 2 + 1))
+        pairs = children[start: start + step]
         # Row 0 holds the x draws, row 1 the y draws; a short chunk uses the first rows.
         gaussian, phases = scratch.gaussian[:, : len(pairs)], scratch.phases[:, : len(pairs)]
         for i, child in enumerate(pairs):
@@ -214,7 +209,7 @@ def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = N
         )
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
-        chunks = list(pool.map(chunk_curves, range(0, config.n_surrogates, CHUNK_SIZE)))
+        chunks = list(pool.map(chunk_curves, range(0, config.n_surrogates, step)))
 
     results = {}
     for (method, grid), rho, nan, rows in zip(grids.items(), observed, flagged, zip(*chunks)):

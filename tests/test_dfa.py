@@ -306,13 +306,17 @@ class TestPanelFluctuations:
             assert np.array_equal(fluct.values, alone.values)
             assert np.array_equal(fluct.boxes_per_scale, alone.boxes_per_scale)
 
-    def test_series_dfa_hurst_refuses_get_none(self):
+    def test_series_dfa_hurst_refuses_get_its_error(self):
         rng = np.random.default_rng(23)
         panel = [rng.standard_normal(7), rng.standard_normal(49), rng.standard_normal(129), [2.0] * 400]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fluctuations = _panel_fluctuations(panel)
-        assert fluctuations[:3] == [None, None, None]
+        for x, error in zip(panel[:3], fluctuations):
+            assert isinstance(error, InvalidInputError)
+            with pytest.raises(InvalidInputError) as alone:
+                dfa_hurst(x)
+            assert str(error) == str(alone.value)
         assert not np.any(fluctuations[3].values)
 
     def test_memory_stays_bounded(self):

@@ -502,6 +502,20 @@ class TestBlockKernel:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
+    def test_lag_products_memory_stays_bounded(self):
+        # One-value blocks of a persistent series: bandwidths past 100 lags,
+        # each with its own X A_m per lag. This run peaks near 8.6 MiB; with
+        # the products held for every lag at once it took 36.6 MiB.
+        values = ar1(0.9, 26000, seed=45)
+        lrd._block_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            bootstrap_lrd_tests(values, block_size=1, n_surrogates=10, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     def test_surrogate_in_the_original_order_ties(self):
         # Two blocks and a tail: about half the surrogates are the series
         # itself, which the kernel evaluates a few ulps below the observed

@@ -1,5 +1,6 @@
 import datetime
 import threading
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,6 @@ from lrdkit.cli import main
 from lrdkit.errors import InvalidInputError
 from lrdkit.series import TimeSeries, autocovariance
 from lrdkit.surrogates import (
-    CHUNK_SIZE,
     AverageCoefficient,
     SurrogateConfig,
     _ensemble_significance,
@@ -27,6 +27,13 @@ from lrdkit.xcorr import ScaleCorrelogram, scan_scales
 
 def kinked_step_series():
     return np.concatenate([np.ones(32), np.full(32, 2.0)])
+
+
+def chunk_pairs(monkeypatch, pairs: int, n: int) -> int:
+    """Set the value budget to chunks of ``pairs`` pairs of n-point series,
+    one x and one y row each; returns ``pairs``."""
+    monkeypatch.setattr(surrogates, "STACK_VALUES", 2 * pairs * n)
+    return pairs
 
 
 class TestPhaseRandomize:
@@ -136,7 +143,7 @@ class TestXcorrSignificance:
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_ensemble_matches_single_method_calls(self, monkeypatch, cpus):
         # 101 is not a multiple of the chunk size, so the last chunk is short.
-        assert 101 % CHUNK_SIZE != 0
+        assert 101 % chunk_pairs(monkeypatch, 16, 300) != 0
         monkeypatch.setattr(surrogates, "_cpu_count", lambda: cpus)
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=13)
         config = SurrogateConfig(n_surrogates=101, seed=9)
@@ -158,6 +165,7 @@ class TestXcorrSignificance:
             return aaft_values(*args)
 
         monkeypatch.setattr(surrogates, "_aaft_values", counting_aaft)
+        pairs = chunk_pairs(monkeypatch, 16, 300)
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=14)
         dates = tuple(datetime.date(2010, 1, 1) + datetime.timedelta(days=i) for i in range(300))
         lk.write_series_csv(TimeSeries(x.values, dates=dates), tmp_path / "x.csv")
@@ -165,7 +173,7 @@ class TestXcorrSignificance:
         code = main(["xcorr", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"),
                      "--method", "both", "--surrogates", "101"])
         assert code == 0, capsys.readouterr().err
-        chunks = -(-101 // CHUNK_SIZE)
+        chunks = -(-101 // pairs)
         assert len(calls) == 2 * chunks
         assert sum(calls) == 2 * 101
 
@@ -187,9 +195,10 @@ class TestXcorrSignificance:
         monkeypatch.setattr(surrogates, "_coefficient_curves", recording_curves)
         monkeypatch.setattr(surrogates, "_draw", recording_draw)
         monkeypatch.setattr(surrogates, "_cpu_count", lambda: 2)
+        pairs = chunk_pairs(monkeypatch, 16, 512)
         x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 512, seed=8)
         xcorr_significance(x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100))
-        assert len(seen) == -(-100 // CHUNK_SIZE)
+        assert len(seen) == -(-100 // pairs)
         assert len(drawn) == 2 * 100
         threads = {thread for thread, _, _ in seen}
         assert len({(thread, scratch) for thread, scratch, _ in seen}) == len(threads) <= 2
@@ -197,18 +206,34 @@ class TestXcorrSignificance:
         assert all(ref() is None for _, _, ref in seen + drawn)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        # 101 leaves a short last chunk of 2 or 5 pairs, never a single pair.
+        # 101 leaves a short last chunk of 1, 2 or 5 pairs; a chunk of 2 pairs
+        # is what the budget gives series longer than 16,384 points.
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 512, seed=15)
         config = SurrogateConfig(n_surrogates=101, seed=11)
         grids = {"dcca": [10, 40, 120], "dmca": [11, 41, 121]}
         runs = []
-        for chunk_size in (3, 8, 16):
-            monkeypatch.setattr(surrogates, "CHUNK_SIZE", chunk_size)
+        for chunk_size in (2, 3, 8, 16):
+            chunk_pairs(monkeypatch, chunk_size, 512)
             for cpus in (1, 2):
                 monkeypatch.setattr(surrogates, "_cpu_count", lambda: cpus)
                 result = _ensemble_significance(x, y, grids, config)
                 runs.append(np.stack([result[method].surrogate_rho for method in grids]))
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # Chunks of 20,000-point pairs hold two pairs, the budget's floor:
+        # the ensemble peaks near 9.5 MiB, and took 69.4 MiB with chunks of
+        # 16 pairs.
+        monkeypatch.setattr(surrogates, "_cpu_count", lambda: 2)
+        x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 20_000, seed=17)
+        grids = {"dcca": None, "dmca": None}
+        tracemalloc.start()
+        try:
+            _ensemble_significance(x, y, grids, SurrogateConfig(n_surrogates=100, seed=13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_buffered_draws_match_stacked_draws(self, monkeypatch, cpus):
@@ -229,11 +254,12 @@ class TestXcorrSignificance:
         xv, yv = x.values, y.values
         grids = {"dcca": np.array([10, 40, 120]), "dmca": np.array([11, 41, 121])}
         # 101 pairs: full chunks, then a short one on buffers a full chunk filled.
-        assert 101 % CHUNK_SIZE > 1
+        pairs = chunk_pairs(monkeypatch, 16, 512)
+        assert 101 % pairs > 1
         children = np.random.SeedSequence(12).spawn(101)
         chunks = []
-        for start in range(0, 101, CHUNK_SIZE):
-            rngs = map(np.random.default_rng, children[start: start + CHUNK_SIZE])
+        for start in range(0, 101, pairs):
+            rngs = map(np.random.default_rng, children[start: start + pairs])
             draws = [draw(rng, xv.size) + draw(rng, yv.size) for rng in rngs]
             gx, phx, gy, phy = (np.stack(d) for d in zip(*draws))
             chunks.append(surrogates._coefficient_curves(aaft(xv, gx, phx), aaft(yv, gy, phy), grids))
@@ -243,9 +269,9 @@ class TestXcorrSignificance:
             assert np.array_equal(result[method].surrogate_rho, np.vstack(rows)), method
 
     @pytest.mark.parametrize("method", ["dcca", "dmca"])
-    def test_chunks_match_one_pair_at_a_time(self, method):
+    def test_chunks_match_one_pair_at_a_time(self, monkeypatch, method):
         # 101 is not a multiple of the chunk size, so the last chunk is short.
-        assert 101 % CHUNK_SIZE != 0
+        assert 101 % chunk_pairs(monkeypatch, 16, 300) != 0
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 300, seed=12)
         grid = [10, 40, 70] if method == "dcca" else [11, 41, 71]
         result = xcorr_significance(
