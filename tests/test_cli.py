@@ -805,6 +805,24 @@ class TestVolatility:
         log_volume = read_series_csv(f"{prefix}_log_volume.csv", "trends")
         assert log_volume.values.tolist() == [np.log(5e-324), np.log(5e-324), np.log(1500.0)]
 
+    @pytest.mark.parametrize(
+        "bar", ["1e200,1e200,1e-200,1e-200", "1e-300,1e300,1e-300,1e300"], ids=["underflow", "overflow"]
+    )
+    def test_price_ratio_outside_the_floats_gives_finite_rows_under_warnings_as_errors(self, tmp_path, bar):
+        # Close over open underflows to 0 in the first bar; both ratios
+        # overflow in the second. Each log ratio is then a log difference.
+        target = tmp_path / "wide.csv"
+        target.write_text(f"date,open,high,low,close,volume\n2021-01-04,{bar},1\n2021-01-05,100,110,95,105,2\n")
+        prefix = tmp_path / "wide"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdkit", "volatility", str(target), "--out", str(prefix)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        log_variance = read_series_csv(f"{prefix}_log_variance.csv", "trends")
+        assert np.isfinite(log_variance.values).all() and len(log_variance) == 2
+
 
 class TestChain:
     def test_chains_two_files(self, tmp_path):

@@ -1,6 +1,8 @@
 import datetime as dt
 import math
+import subprocess
 import sys
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lrdkit import finance
 from lrdkit.errors import (
     DegenerateOverlapError,
     InvalidBarError,
@@ -63,23 +66,27 @@ def bars_of(rows):
     return OhlcvBars(dates, *(np.array(column) for column in zip(*rows)))
 
 
+# Every positive finite price, subnormals among them.
+PRICES = st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max)
+
+
 def price_quads(draw, kind):
     """Low, two inner prices and high of one bar of the given kind."""
     if kind == "flat":
-        return [draw(st.floats(min_value=1e-150, max_value=1e150))] * 4
+        return [draw(PRICES)] * 4
     if kind == "cents":
         # Daily ranges of a few percent, where np.log and math.log disagree
         # on about one ratio in sixty.
         base = draw(st.integers(min_value=100, max_value=10**7))
         moves = draw(st.lists(st.integers(0, base // 20), min_size=4, max_size=4))
         return sorted((base + move) / 100 for move in moves)
-    return sorted(draw(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=4, max_size=4)))
+    return sorted(draw(st.lists(PRICES, min_size=4, max_size=4)))
 
 
 @st.composite
 def bar_columns(draw):
-    """Valid bars: flat, with cent-rounded prices, or with any prices in
-    [1e-150, 1e150], so high/low ratios reach 1e300."""
+    """Valid bars: flat, with cent-rounded prices, or with any positive
+    finite prices, so a price ratio can overflow or underflow."""
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=20))):
         low, first, second, high = price_quads(draw, draw(st.sampled_from(["flat", "cents", "extreme"])))
@@ -93,6 +100,10 @@ class TestGarmanKlassColumns:
     @given(bars=bar_columns())
     @example(bars=bars_of([(50.0, 50.0, 50.0, 50.0, 0.0)]))
     @example(bars=bars_of([(1.0, math.nextafter(1.0, 2.0), 1.0, 1.0, 1.0), (1e-150, 1e150, 1e-150, 1e150, 1.0)]))
+    # Ratios that underflow to 0 and overflow to inf; then subnormal prices
+    # with a subnormal close over open and overflowing highs over lows.
+    @example(bars=bars_of([(1e200, 1e200, 1e-200, 1e-200, 1.0), (1e-300, 1e300, 1e-300, 1e300, 1.0)]))
+    @example(bars=bars_of([(1.0, 1.0, 5e-324, 1e-310, 1.0), (1e-300, 1e10, 1e-300, 1e-300, 1.0)]))
     def test_equals_each_bar_bit_for_bit(self, bars):
         columns = garman_klass(bars)
         per_bar = np.array([garman_klass(bar) for bar in bars])
@@ -101,6 +112,57 @@ class TestGarmanKlassColumns:
     def test_flat_bars_are_exactly_zero(self):
         bars = bars_of([(p, p, p, p, 0.0) for p in (0.01, 1.0, 123.45, 1e150)])
         assert garman_klass(bars).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1e200, 1e200, 1e-200, 1e-200, 1.0), (1e-300, 1e300, 1e-300, 1e300, 1.0)],
+        ids=["close over open underflows", "both ratios overflow"],
+    )
+    def test_ratio_outside_the_floats_gives_the_log_difference(self, row):
+        open_, high, low, close, _ = row
+        expected = (
+            0.5 * (math.log(high) - math.log(low)) ** 2
+            - (2 * math.log(2) - 1) * (math.log(close) - math.log(open_)) ** 2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert garman_klass(bars_of([row])).tolist() == [expected]
+            assert garman_klass(bars_of([row])[0]) == expected
+
+    @pytest.mark.parametrize("libm", [True, False], ids=["reversed np.log", "math.log map"])
+    @pytest.mark.parametrize("n_bars", [1, 7, 5000])
+    def test_both_log_routes_equal_each_bar_bit_for_bit(self, monkeypatch, libm, n_bars):
+        # Each route alone must give math.log's bits, so the other is made to fail.
+        monkeypatch.setattr(finance, "_reversed_log_is_libm", lambda: libm)
+        unused = "_map_log" if libm else "_reversed_log"
+        monkeypatch.setattr(finance, unused, lambda values: pytest.fail(f"{unused} ran"))
+        rng = np.random.default_rng(n_bars)
+        base = rng.integers(100, 10**6, n_bars)
+        moves = rng.integers(0, base[:, None] // 20 + 1, (n_bars, 4))
+        low, first, second, high = np.sort(base[:, None] + moves, axis=1).T / 100
+        bars = bars_of(list(zip(first, high, low, second, np.ones(n_bars))))
+        per_bar = np.array([garman_klass(bar) for bar in bars])
+        assert garman_klass(bars).view(np.int64).tolist() == per_bar.view(np.int64).tolist()
+
+    def test_route_check_catches_a_one_ulp_miss(self, monkeypatch):
+        def off_by_an_ulp(values):
+            logs = finance._map_log(values)
+            logs[500] = np.nextafter(logs[500], np.inf)
+            return logs
+
+        check = finance._reversed_log_is_libm.__wrapped__
+        monkeypatch.setattr(finance, "_reversed_log", finance._map_log)
+        assert check()
+        monkeypatch.setattr(finance, "_reversed_log", off_by_an_ulp)
+        assert not check()
+
+    def test_import_runs_no_route_check(self):
+        code = (
+            "import lrdkit.cli, lrdkit.finance as f;"
+            "print(f._reversed_log_is_libm.cache_info().misses)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
 
 class TestOhlcvBars:
