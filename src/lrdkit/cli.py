@@ -513,7 +513,9 @@ def main(argv=None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
-    except (ToolkitError, OSError) as error:
+    # A library UserWarning raised as an error (python -W error) ends the run
+    # like an analysis error; numpy's RuntimeWarnings still give a traceback.
+    except (ToolkitError, OSError, UserWarning) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     return 0

@@ -191,9 +191,9 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
     :func:`series._row_sums` row, so every pair gets the sums it gives
     alone, in any batch and at any length. Returns the three stacked in
     that order, shape (3, k, grid.size); passing ``py is px`` computes Sxx
-    alone, which is DFA's route. The large arrays are carved from ``work``
-    (contents ignored), which a caller running many chunks passes to fault
-    its pages in only once.
+    alone, which is DFA's route. The large arrays are carved from one
+    array of :func:`_work_size` values that each call allocates; ``work``,
+    if given, stands in for it, and its contents are ignored.
     """
     k, n = px.shape
     m = k if py is px else 2 * k
@@ -254,11 +254,10 @@ def _fluctuation_rows(rows, grid: np.ndarray) -> np.ndarray:
     step = max(1, STACK_VALUES // n)
     boxes = 2 * (n // grid)
     values = np.empty((len(rows), grid.size))
-    work = np.empty(_work_size(min(step, len(rows)), n))
     for start in range(0, len(rows), step):
         scaled, exponents = _unit_scaled(np.stack(rows[start: start + step]))
         profiles = _profile_values(scaled)
-        sxx = _detrended_moments(profiles, profiles, grid, "dcca", work)[1]
+        sxx = _detrended_moments(profiles, profiles, grid, "dcca")[1]
         with np.errstate(over="ignore"):
             values[start: start + len(scaled)] = np.ldexp(
                 np.sqrt(np.maximum(sxx, 0.0) / (boxes * grid)), exponents
@@ -378,19 +377,19 @@ def _panel_fluctuations(panel) -> list:
     :func:`_fluctuation_rows`. Neither raises nor warns: ``_hurst_fit``
     gives each series' warnings and errors.
     """
+    # Each length keeps the grid of its first series and the checked values
+    # of its series by index.
     lengths, fluctuations = {}, [None] * len(panel)
     for index, series in enumerate(panel):
         try:
-            n = as_values(series, min_length=8).size
-            _hurst_grid(n, DEFAULT_MIN_SCALE, None)
+            values = as_values(series, min_length=8)
+            grid = _hurst_grid(values.size, DEFAULT_MIN_SCALE, None)
         except InvalidInputError as error:
             fluctuations[index] = error
         else:
-            lengths.setdefault(n, []).append(index)
-    for n, members in lengths.items():
-        grid = _hurst_grid(n, DEFAULT_MIN_SCALE, None)
-        rows = _fluctuation_rows([as_values(panel[i]) for i in members], grid)
-        for index, values in zip(members, rows):
+            lengths.setdefault(values.size, (grid, {}))[1][index] = values
+    for n, (grid, members) in lengths.items():
+        for index, values in zip(members, _fluctuation_rows(list(members.values()), grid)):
             fluctuations[index] = FluctuationFunction(
                 scales=grid, values=values, boxes_per_scale=2 * (n // grid)
             )

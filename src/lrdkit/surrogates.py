@@ -16,7 +16,6 @@ ensemble is reproducible no matter how the loop is scheduled.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dfa import _work_size
 from .errors import InvalidInputError
 from .series import STACK_VALUES, TimeSeries, _as_int, as_values
 from .xcorr import METHODS, ScaleCorrelogram, _coefficient_curves, _scaled_pair, _validate_grid
@@ -187,25 +185,18 @@ def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = N
     children = np.random.SeedSequence(config.seed).spawn(config.n_surrogates)
     x_ranks, y_ranks = _ranks(xv), _ranks(yv)
     # Each chunk stacks the x and y rows of ``step`` pairs, as many as the
-    # value budget holds. Each pool thread owns one detrending scratch and
-    # one pair of draw buffers of that size, reused by its chunks so their
-    # pages are faulted in once and freed when this call returns.
+    # value budget holds, in draw buffers of its own.
     step = max(2, STACK_VALUES // (2 * xv.size))
-    scratch = threading.local()
 
     def chunk_curves(start: int) -> list[np.ndarray]:
-        if not hasattr(scratch, "work"):
-            scratch.work = np.empty(_work_size(2 * step, xv.size))
-            scratch.gaussian = np.empty((2, step, xv.size))
-            scratch.phases = np.empty((2, step, xv.size // 2 + 1))
         pairs = children[start: start + step]
-        # Row 0 holds the x draws, row 1 the y draws; a short chunk uses the first rows.
-        gaussian, phases = scratch.gaussian[:, : len(pairs)], scratch.phases[:, : len(pairs)]
+        # Row 0 holds the x draws, row 1 the y draws.
+        gaussian = np.empty((2, len(pairs), xv.size))
+        phases = np.empty((2, len(pairs), xv.size // 2 + 1))
         for i, child in enumerate(pairs):
             _draw(np.random.default_rng(child), gaussian[:, i], phases[:, i])
         return _coefficient_curves(
-            _aaft_values(x_ranks, gaussian[0], phases[0]), _aaft_values(y_ranks, gaussian[1], phases[1]),
-            grids, scratch.work,
+            _aaft_values(x_ranks, gaussian[0], phases[0]), _aaft_values(y_ranks, gaussian[1], phases[1]), grids
         )
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:

@@ -161,12 +161,12 @@ def _validate_grid(scales, method: str, n: int) -> np.ndarray:
     return _check_grid(scales, n, _check_scale if method == "dcca" else _check_window)
 
 
-def _coefficient_curves(xv: np.ndarray, yv: np.ndarray, grids: dict, work=None) -> list[np.ndarray]:
+def _coefficient_curves(xv: np.ndarray, yv: np.ndarray, grids: dict) -> list[np.ndarray]:
     """Coefficients over each method's validated grid for each row of ``xv``
-    and ``yv``, NaN at degenerate points. The profiles are taken once, and
-    every method detrends in the same ``work`` array."""
+    and ``yv``, NaN at degenerate points. The profiles are taken once for
+    every method."""
     px, py = _profile_values(xv), _profile_values(yv)
-    return [_coefficient(*_detrended_moments(px, py, grid, method, work)) for method, grid in grids.items()]
+    return [_coefficient(*_detrended_moments(px, py, grid, method)) for method, grid in grids.items()]
 
 
 def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:

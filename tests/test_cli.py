@@ -692,6 +692,31 @@ class TestXcorr:
         assert "fewer than 2" in result.stderr
 
 
+class TestWarningsAsErrors:
+    """Under ``python -W error`` a library warning ends the run like an
+    analysis error: exit 1, one stderr line, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("lrdtest", "dropping zero-fluctuation scales: 10, 25, 50"),
+            ("xcorr", "degenerate scales forced p = 1 at: 10, 20, 40, 50, 100, 200"),
+        ],
+        ids=["lrdtest", "xcorr"],
+    )
+    def test_library_warning_gives_one_error_line(self, tmp_path, command, message):
+        step = write_values(tmp_path / "step.csv", [0.0] * 200 + [1.0] * 200)
+        inputs = [step] if command == "lrdtest" else [step, step]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdkit", command, *inputs,
+             "--surrogates", "100", "--out", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["step.csv"]
+
+
 class TestVolatility:
     @pytest.fixture()
     def bars_csv(self, tmp_path):

@@ -107,9 +107,9 @@ def test_paired_square_sums_equal_the_self_moments(method, length, share, h_x, h
 @example(method="dcca", k=1, length=4097, paired=False, spare=9_999, seed=4)
 @example(method="dmca", k=1, length=4097, paired=False, spare=9_999, seed=4)
 def test_dirty_scratch_changes_nothing(method, k, length, paired, spare, seed):
-    # The surrogate chunks reuse one scratch per thread, full of the last
-    # chunk's values and sized for the largest chunk; its contents must not
-    # leak into any moment, exactly.
+    # Each call's scratch comes from np.empty, which hands back recycled
+    # heap memory full of earlier values, and may be larger than the call
+    # needs; its contents must not leak into any moment, exactly.
     rng = np.random.default_rng(seed)
     px = np.cumsum(rng.standard_normal((k, length)), axis=1)
     py = np.cumsum(rng.standard_normal((k, length)), axis=1) if paired else px

@@ -177,33 +177,44 @@ class TestXcorrSignificance:
         assert len(calls) == 2 * chunks
         assert sum(calls) == 2 * 101
 
-    def test_scratch_is_one_per_thread_and_freed_on_return(self, monkeypatch):
-        seen, drawn = [], []
-        curves, draw = surrogates._coefficient_curves, surrogates._draw
+    def test_draws_are_rows_of_one_buffer_pair_per_chunk_freed_on_return(self, monkeypatch):
+        # A freed chunk's buffer id is reused, so buffers are told apart by
+        # identity while they are alive, through weakrefs.
+        buffers, draws, lock = {"gaussian": [], "phases": []}, [], threading.Lock()
+        draw = surrogates._draw
 
-        def recording_curves(xv, yv, grids, work=None):
-            if work is not None:
-                seen.append((threading.get_ident(), id(work), weakref.ref(work)))
-            return curves(xv, yv, grids, work)
+        def slot(kind, rows):
+            # The buffer index and the pair's row of it.
+            buffer = rows.base
+            assert rows.shape == buffer.shape[::2] and rows.strides == buffer.strides[::2]
+            refs = buffers[kind]
+            index = next((i for i, ref in enumerate(refs) if ref() is buffer), len(refs))
+            if index == len(refs):
+                refs.append(weakref.ref(buffer))
+            return index, (rows.ctypes.data - buffer.ctypes.data) // buffer.strides[1]
 
         def recording_draw(rng, gaussian, phases):
-            # Each pair's rows are views into the thread's draw buffers.
-            for buffer in (gaussian.base, phases.base):
-                drawn.append((threading.get_ident(), id(buffer), weakref.ref(buffer)))
+            with lock:
+                draws.append((slot("gaussian", gaussian), slot("phases", phases)))
             return draw(rng, gaussian, phases)
 
-        monkeypatch.setattr(surrogates, "_coefficient_curves", recording_curves)
         monkeypatch.setattr(surrogates, "_draw", recording_draw)
         monkeypatch.setattr(surrogates, "_cpu_count", lambda: 2)
         pairs = chunk_pairs(monkeypatch, 16, 512)
         x, y = lk.generate_correlated_pair(0.7, 0.7, 0.5, 512, seed=8)
         xcorr_significance(x, y, "dcca", [10, 30], SurrogateConfig(n_surrogates=100))
-        assert len(seen) == -(-100 // pairs)
-        assert len(drawn) == 2 * 100
-        threads = {thread for thread, _, _ in seen}
-        assert len({(thread, scratch) for thread, scratch, _ in seen}) == len(threads) <= 2
-        assert len({(thread, buffer) for thread, buffer, _ in drawn}) == 2 * len(threads)
-        assert all(ref() is None for _, _, ref in seen + drawn)
+        chunks = -(-100 // pairs)
+        assert len(draws) == 100
+        assert len(buffers["gaussian"]) == len(buffers["phases"]) == chunks
+        # Each chunk's pairs fill the rows of its one normal buffer and the
+        # same rows of its one phase buffer.
+        rows = {}
+        for (chunk, row), phase_slot in draws:
+            assert phase_slot == (chunk, row)
+            rows.setdefault(chunk, []).append(row)
+        assert sorted(len(taken) for taken in rows.values()) == [100 % pairs] + [pairs] * (chunks - 1)
+        assert all(sorted(taken) == list(range(len(taken))) for taken in rows.values())
+        assert all(ref() is None for refs in buffers.values() for ref in refs)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         # 101 leaves a short last chunk of 1, 2 or 5 pairs; a chunk of 2 pairs
@@ -253,7 +264,7 @@ class TestXcorrSignificance:
         x, y = lk.generate_correlated_pair(0.8, 0.6, 0.4, 512, seed=16)
         xv, yv = x.values, y.values
         grids = {"dcca": np.array([10, 40, 120]), "dmca": np.array([11, 41, 121])}
-        # 101 pairs: full chunks, then a short one on buffers a full chunk filled.
+        # 101 pairs: full chunks, then a short one.
         pairs = chunk_pairs(monkeypatch, 16, 512)
         assert 101 % pairs > 1
         children = np.random.SeedSequence(12).spawn(101)
