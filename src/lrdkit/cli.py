@@ -40,7 +40,6 @@ from .finance import (
     log_transform,
     read_series_csv,
     series_csv_text,
-    write_series_csv,
 )
 from .lrd import _panel_tests
 from .series import TimeSeries, _Dates
@@ -181,8 +180,7 @@ def _resolve_options(args) -> None:
 
 def _emit(outputs: dict) -> None:
     """Write every output of a run: ``{path: text}``, where ``None`` or
-    ``"-"`` is stdout and a text may also be a function that writes a file
-    to the path it is given.
+    ``"-"`` is stdout.
 
     A target that is missing or a regular file is written to a temp file
     beside the file a symlink resolves to, and the temp files are renamed
@@ -223,13 +221,10 @@ def _emit(outputs: dict) -> None:
             sys.stdout.write(text)
 
 
-def _write(target: str, text, path: str) -> None:
+def _write(target: str, text: str, path: str) -> None:
     """Write ``text`` to ``target``; an error names the output ``path``."""
     try:
-        if callable(text):
-            text(target)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
+        Path(target).write_text(text, encoding="utf-8")
     except OSError as error:
         raise ToolkitError(f"cannot write {path}: {error.strerror or error}") from None
 
@@ -418,8 +413,8 @@ def cmd_volatility(args) -> dict:
         },
     }
     return {
-        variance_path: functools.partial(write_series_csv, log_variance),
-        volume_path: functools.partial(write_series_csv, log_volume),
+        variance_path: series_csv_text(log_variance),
+        volume_path: series_csv_text(log_volume),
         None: _json_document(document),
     }
 

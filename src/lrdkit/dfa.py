@@ -172,13 +172,7 @@ def _detrended_parts(profiles: np.ndarray, sums: np.ndarray | None, scale: int, 
     return boxes.reshape(k, -1), boxes @ (positions / math.sqrt(positions @ positions))
 
 
-def _work_size(m: int, n: int) -> int:
-    """Length of the ``work`` array :func:`_detrended_moments` needs for m
-    stacked rows of length n: 2k for k pairs, k when ``py is px``."""
-    return 3 * m * n + m
-
-
-def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str, work=None):
+def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method: str):
     """Per-scale detrended sums Sxy, Sxx and Syy of paired profile rows.
 
     ``px`` and ``py`` have shape (k, n) and ``grid`` is validated for
@@ -192,13 +186,14 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
     alone, in any batch and at any length. Returns the three stacked in
     that order, shape (3, k, grid.size); passing ``py is px`` computes Sxx
     alone, which is DFA's route. The large arrays are carved from one
-    array of :func:`_work_size` values that each call allocates; ``work``,
-    if given, stands in for it, and its contents are ignored.
+    array of 3 m n + m values for the m stacked rows, which each call
+    allocates and whose contents are never read before they are written.
+    Every caller passes profiles of rows scaled by ``series._unit_scaled``,
+    so the sums stay far inside the float range.
     """
     k, n = px.shape
     m = k if py is px else 2 * k
-    if work is None:
-        work = np.empty(_work_size(m, n))
+    work = np.empty(3 * m * n + m)
     # The per-scale values come first, then the stacked rows, then the sums.
     front = (2 if method == "dcca" else 1) * m * n
     stacked = work[front: front + m * n].reshape(m, n)
@@ -213,24 +208,21 @@ def _detrended_moments(px: np.ndarray, py: np.ndarray, grid: np.ndarray, method:
         sums[:, 1:] = rows
         np.cumsum(sums, axis=1, out=sums)
     moments = np.empty((3, k, grid.size))
-    # Overflowing sums (values near 1e300) leave inf - inf = NaN moments,
-    # which the callers treat as degenerate; numpy need not warn about them.
-    with np.errstate(invalid="ignore"):
-        for j, s in enumerate(grid):
-            c, t = _detrended_parts(rows, sums, int(s), work)
-            total = squares = _row_sums("ki,ki->k", c, c)
-            if t is not None:
-                squares = total - _row_sums("kb,kb->k", t, t)
-                # Below this share of the centered sum of squares the difference
-                # is rounding of the two sums: the boxes are exactly linear.
-                squares[squares <= 1e-12 * total] = 0.0
-            if py is px:
-                moments[:, :, j] = squares
-                continue
-            cross = _row_sums("ki,ki->k", c[:k], c[k:])
-            if t is not None:
-                cross -= _row_sums("kb,kb->k", t[:k], t[k:])
-            moments[:, :, j] = (cross, squares[:k], squares[k:])
+    for j, s in enumerate(grid):
+        c, t = _detrended_parts(rows, sums, int(s), work)
+        total = squares = _row_sums("ki,ki->k", c, c)
+        if t is not None:
+            squares = total - _row_sums("kb,kb->k", t, t)
+            # Below this share of the centered sum of squares the difference
+            # is rounding of the two sums: the boxes are exactly linear.
+            squares[squares <= 1e-12 * total] = 0.0
+        if py is px:
+            moments[:, :, j] = squares
+            continue
+        cross = _row_sums("ki,ki->k", c[:k], c[k:])
+        if t is not None:
+            cross -= _row_sums("kb,kb->k", t[:k], t[k:])
+        moments[:, :, j] = (cross, squares[:k], squares[k:])
     return moments
 
 

@@ -73,14 +73,12 @@ def _observed(values: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndar
 
     Both are scale-free, so they are taken of the series scaled by an exact
     power of two (``series._unit_scaled``): the same for ``x * 2**j`` as for
-    ``x``, and finite at magnitudes such as 1e152 or 1e-165. A series whose
-    mean overflows in data units, as alternating values of +-1e308 do, is
-    still refused as degenerate, as ``hac_variance`` refuses it.
+    ``x``, and finite at magnitudes such as 1e152, 1e-165 or alternating
+    values of +-1e308, whose mean overflows in data units. Only a zero or
+    non-finite long-run variance of the scaled series is refused.
     """
     bandwidth = None if bandwidth is None else _lag(bandwidth, values.size)
     statistics, bandwidth, degenerate = _row_statistics(_unit_scaled(values)[0], bandwidth)
-    with np.errstate(over="ignore", invalid="ignore"):
-        degenerate |= not np.isfinite(values.mean())
     if degenerate:
         raise DegenerateVarianceError(
             "series variance is zero or not finite, or its long-run variance is not positive"
@@ -397,8 +395,8 @@ def bootstrap_lrd_tests(
     ``MAX_SURROGATES`` surrogates and 2**28 block orders in all are drawn.
     The series and its surrogates are evaluated scaled by an exact power of
     two (``series._unit_scaled``), so ``x * 2**j`` gives the same results as
-    ``x`` and magnitudes such as 1e152 or 1e-165 neither overflow nor
-    underflow; ``_observed`` still refuses a series whose mean overflows.
+    ``x`` and magnitudes such as 1e152, 1e-165 or +-1e308 neither overflow
+    nor underflow.
     This is the one-series case of ``_panel_tests``, which evaluates the
     series of one length together and gives each the results it gets here.
 

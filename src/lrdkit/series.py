@@ -299,12 +299,15 @@ def auto_bandwidth_value(n_obs: int, lag1_autocorr: float) -> int:
 def auto_bandwidth(series) -> int:
     """Automatic Bartlett bandwidth for a series.
 
-    Raises :class:`DegenerateVarianceError` for a constant series, whose
-    lag-1 autocorrelation is undefined, and for one whose variance
-    overflows.
+    A lag count is scale-free, so it is taken of the series scaled by an
+    exact power of two (:func:`_unit_scaled`), as the bootstrap takes it:
+    ``x * 2**j`` gets the bandwidth of ``x``, and so do alternating values
+    of +-1e308, whose variance overflows in data units. Raises
+    :class:`DegenerateVarianceError` for a constant series, whose lag-1
+    autocorrelation is undefined.
     """
-    x = as_values(series, min_length=2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    x = _unit_scaled(as_values(series, min_length=2))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
         bandwidth, undefined = _auto_bandwidth(x - x.mean())
     if undefined:
         raise DegenerateVarianceError("series has no finite nonzero variance, so no bandwidth")

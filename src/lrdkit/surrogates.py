@@ -174,9 +174,9 @@ def _ensemble_significance(x, y, grids: dict, config: SurrogateConfig | None = N
         config = SurrogateConfig()
     # AAFT reorders the source values, so the surrogates of the scaled pair
     # are the scaled surrogates.
-    xv, yv, _, overflows = _scaled_pair(x, y)
+    xv, yv, _ = _scaled_pair(x, y)
     grids = {method: _validate_grid(scales, method, xv.size) for method, scales in grids.items()}
-    observed = [np.where(overflows, np.nan, rho) for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
+    observed = [rho for (rho,) in _coefficient_curves(xv[None, :], yv[None, :], grids)]
     flagged = [np.isnan(rho) for rho in observed]
     for grid, nan in zip(grids.values(), flagged):
         if nan.any():

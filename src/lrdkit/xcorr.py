@@ -70,12 +70,12 @@ class ScaleCorrelogram:
             raise InvalidInputError("coefficients must lie in [-1, 1]")
 
 
-def _scaled_pair(x, y) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def _scaled_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
     """The values of a valid pair, each series scaled by its exact power of
-    two; the exponent that takes their products back to data units; and
-    whether the pair is degenerate at every scale. A series whose variance
-    passes the float range in data units, as that of alternating values of
-    +-1e300 does, makes it so, as ``hac_variance`` refuses such a series."""
+    two, and the exponent that takes their products back to data units.
+    Degeneracy is left to the coefficients of the scaled values, so a
+    series such as alternating values of +-1e300, whose variance passes the
+    float range in data units, gives what its scaled copy gives."""
     xv = as_values(x, min_length=8)
     yv = as_values(y, min_length=8)
     if xv.size != yv.size:
@@ -83,9 +83,7 @@ def _scaled_pair(x, y) -> tuple[np.ndarray, np.ndarray, int, bool]:
             f"series lengths differ: {xv.size} vs {yv.size}"
         )
     (xv, ex), (yv, ey) = _unit_scaled(xv), _unit_scaled(yv)
-    with np.errstate(over="ignore"):
-        variances = np.ldexp([xv.var(), yv.var()], [2 * ex[0], 2 * ey[0]])
-    return xv, yv, int(ex[0] + ey[0]), not np.isfinite(variances).all()
+    return xv, yv, int(ex[0] + ey[0])
 
 
 def _check_window(window: int, n: int) -> None:
@@ -107,7 +105,7 @@ def _coefficient(sxy, sxx, syy):
 
 def _at_scale(x, y, method: str, scale: int) -> tuple[float, float]:
     """Detrended covariance and coefficient, NaN if degenerate, at one scale."""
-    xv, yv, exponent, overflows = _scaled_pair(x, y)
+    xv, yv, exponent = _scaled_pair(x, y)
     (_check_scale if method == "dcca" else _check_window)(scale, xv.size)
     n, s = xv.size, int(scale)
     sxy, sxx, syy = _detrended_moments(
@@ -116,7 +114,7 @@ def _at_scale(x, y, method: str, scale: int) -> tuple[float, float]:
     count = 2 * (n // s) * s if method == "dcca" else n - s + 1
     with np.errstate(over="ignore"):
         covariance = np.ldexp(sxy / count, exponent)
-    return float(covariance), np.nan if overflows else float(_coefficient(sxy, sxx, syy))
+    return float(covariance), float(_coefficient(sxy, sxx, syy))
 
 
 def _nondegenerate(value: float, where: str) -> float:
@@ -186,10 +184,10 @@ def scan_scales(x, y, method: str, scales=None) -> ScaleCorrelogram:
     """
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    xv, yv, _, overflows = _scaled_pair(x, y)
+    xv, yv, _ = _scaled_pair(x, y)
     grid = _validate_grid(scales, method, xv.size)
     (rho,) = _coefficient_curves(xv[None, :], yv[None, :], {method: grid})[0]
-    bad = np.isnan(rho) | overflows
+    bad = np.isnan(rho)
     if bad.any():
         where = ", ".join(str(int(s)) for s in grid[bad])
         raise DegenerateScaleError(f"zero fluctuation at scales: {where}")

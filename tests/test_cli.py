@@ -15,7 +15,7 @@ import lrdkit.cli as cli
 from lrdkit import finance
 from lrdkit.cli import main
 from lrdkit.dfa import dfa_hurst
-from lrdkit.finance import read_series_csv, write_series_csv
+from lrdkit.finance import read_series_csv, series_csv_text
 
 
 def run_cli(*argv):
@@ -281,16 +281,29 @@ class TestLrdtest:
         assert row["hurst_dfa"] == pytest.approx(0.9, abs=0.1)
 
     def test_overflowing_values_fail_cleanly(self, tmp_path):
-        data = tmp_path / "huge.csv"
-        start = datetime.date(2010, 1, 1)
-        data.write_text("date,value\n" + "".join(
-            f"{start + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e308\n"
-            for i in range(300)
-        ))
-        result = run_cli("lrdtest", str(data), "--surrogates", "100")
+        # The sum of 300 values of 1e308 overflows in data units; the series
+        # is refused because it is constant, which its scaled copy is too.
+        data = write_values(tmp_path / "huge.csv", [1e308] * 300)
+        result = run_cli("lrdtest", data, "--surrogates", "100")
         assert result.returncode == 1
         assert "variance" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_alternating_overflowing_values_match_their_scaled_copy(self, tmp_path, capsys):
+        # Alternating +-1e308 has a data-unit mean and variance past the
+        # float range, but the bootstrap runs on the scaled series.
+        values = np.array([1e308, -1e308] * 150)
+        rows = []
+        for name, copy in (("huge", values), ("scaled", np.ldexp(values, -1024))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["lrdtest", write_values(tmp_path / f"{name}.csv", copy), "--surrogates", "100"])
+            assert code == 0
+            (row,) = json.loads(capsys.readouterr().out)["results"]
+            rows.append(row)
+        huge, scaled = ({k: v for k, v in row.items() if k not in ("label", "hurst_dfa")} for row in rows)
+        assert huge == scaled
+        assert huge["bandwidth"] == 299
 
     def test_non_utf8_input_fails_cleanly(self, tmp_path):
         data = tmp_path / "latin1.csv"
@@ -311,6 +324,7 @@ class TestLrdtest:
 
     @pytest.mark.parametrize("bad, message", [
         ("unreadable", "bad.csv:2: non-numeric value field 'oops'"),
+        # A constant series whose sum overflows in data units.
         ("overflowing", "variance"),
     ])
     def test_failing_input_writes_nothing(self, noise_csv, tmp_path, bad, message):
@@ -322,10 +336,7 @@ class TestLrdtest:
         if bad == "unreadable":
             (inputs / "bad.csv").write_text("date,value\n2004-01-01,oops\n")
         else:
-            (inputs / "bad.csv").write_text("date,value\n" + "".join(
-                f"{datetime.date(2010, 1, 1) + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e308\n"
-                for i in range(300)
-            ))
+            write_values(inputs / "bad.csv", [1e308] * 300)
         out = tmp_path / "out"
         out.mkdir()
         result = run_cli(
@@ -501,22 +512,24 @@ class TestLrdtestPanel:
 
 
 class TestXcorr:
-    def test_overflowing_series_fails_without_runtime_warnings(self, tmp_path, capsys):
-        start = datetime.date(2010, 1, 1)
-        huge, plain = tmp_path / "huge.csv", tmp_path / "plain.csv"
-        huge.write_text("date,value\n" + "".join(
-            f"{start + datetime.timedelta(days=i)},{'-' if i % 2 else ''}1e300\n"
-            for i in range(300)
-        ))
-        plain.write_text("date,value\n" + "".join(
-            f"{start + datetime.timedelta(days=i)},{i * 7 % 13}\n" for i in range(300)
-        ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            warnings.simplefilter("ignore", UserWarning)
-            code = main(["xcorr", str(huge), str(plain), "--surrogates", "100"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: every grid point is degenerate\n"
+    def test_overflowing_series_runs_without_runtime_warnings(self, tmp_path, capsys):
+        # Alternating +-1e300 has a data-unit variance past the float range;
+        # the coefficients are taken of the scaled series, as of any 2**j copy.
+        values = np.array([1e300, -1e300] * 150)
+        plain = write_values(tmp_path / "plain.csv", [i * 7 % 13 for i in range(300)])
+        reports = []
+        for name, copy in (("huge", values), ("scaled", np.ldexp(values, -996))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["xcorr", write_values(tmp_path / f"{name}.csv", copy), plain, "--surrogates", "100"])
+            assert code == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(json.loads(out)["results"])
+        huge, scaled = reports
+        for method, result in scaled.items():
+            assert huge[method]["p_values"] == result["p_values"]
+            assert huge[method]["summary"] == result["summary"]
 
     def test_json_document_both_methods(self, noise_csv, tmp_path):
         other = write_noise(tmp_path / "other.csv", seed="2")
@@ -747,7 +760,7 @@ class TestVolatility:
         # both outputs copy that grid instead of making their own.
         read, written = [], []
         monkeypatch.setattr(cli, "read_series_csv", lambda *a: read.append(read_series_csv(*a)) or read[-1])
-        monkeypatch.setattr(cli, "write_series_csv", lambda s, path: written.append(s) or write_series_csv(s, path))
+        monkeypatch.setattr(cli, "series_csv_text", lambda s: written.append(s) or series_csv_text(s))
         assert main(["volatility", str(bars_csv), "--out", str(tmp_path / "v")]) == 0
         (bars,) = read
         assert bars.dates.cells.tobytes() == b"2021-01-04,2021-01-05,2021-01-06,"

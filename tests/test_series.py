@@ -2,7 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lrdkit as lk
@@ -180,11 +180,28 @@ class TestAutoBandwidth:
             auto_bandwidth([2.0, 2.0, 2.0])
 
     def test_overflowing_variance_degenerate(self):
+        # hac_variance returns data units, so it still refuses a series
+        # whose variance overflows there.
         x = np.array([1e308, -1e308] * 150)
         with pytest.raises(DegenerateVarianceError):
-            auto_bandwidth(x)
-        with pytest.raises(DegenerateVarianceError):
             hac_variance(x, 3)
+
+    def test_overflowing_variance_gets_the_scaled_copys_bandwidth(self):
+        # A lag count is scale-free: the bandwidth is taken of the scaled
+        # series, so an overflowing data-unit variance refuses nothing.
+        x = np.array([1e308, -1e308] * 150)
+        assert auto_bandwidth(x) == auto_bandwidth(np.ldexp(x, -1024)) == 299
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @example(h=0.9, seed=0, j=1000)
+    @example(h=0.5, seed=1, j=-1000)
+    @given(h=st.floats(0.3, 0.95), seed=st.integers(0, 2**20), j=st.integers(-1000, 1000))
+    def test_agrees_with_the_bootstrap_at_every_power_of_two(self, h, seed, j):
+        x = lk.generate_fgn(lk.FgnSpec(h=h, length=300, seed=seed)).values
+        # Keep every value a normal double at x * 2**-1000, so the copy is exact.
+        assume(np.abs(x).min() > 2.0 ** -20)
+        expected = lk.bootstrap_lrd_tests(x, n_surrogates=1)["rescaled_range"].bandwidth
+        assert auto_bandwidth(np.ldexp(x, j)) == expected
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
